@@ -98,7 +98,7 @@ int Run() {
     rec.m = kM;
     rec.b = kB;
     rec.n = n;
-    rec.ios = report.partition_io.total() + report.sum_shard_ios;
+    rec.ios = report.total_ios();
     rec.wall_ns = elapsed;
     rec.results = report.results;
     for (std::size_t s = 0; s < report.per_shard.size(); ++s) {
@@ -109,7 +109,7 @@ int Run() {
     }
     bench::GlobalReporter().Add(rec);
 
-    critical_path = report.partition_io.total() + report.max_shard_ios;
+    critical_path = report.critical_path_ios();
     table.AddRow({rec.bench, bench::U(workers),
                   bench::F(static_cast<double>(elapsed) / 1e6),
                   bench::U(critical_path), bench::U(rec.ios),

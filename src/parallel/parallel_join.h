@@ -76,6 +76,17 @@ struct ParallelJoinReport {
   std::uint64_t max_shard_ios = 0;
   std::uint64_t sum_shard_ios = 0;
   extmem::FaultStats faults;
+
+  /// The query's sharded I/O totals, with the partition's source reads
+  /// counted once ahead of the shards: the critical path is
+  /// partition_io + max_shard_ios, the total work partition_io +
+  /// sum_shard_ios.
+  [[nodiscard]] std::uint64_t critical_path_ios() const {
+    return partition_io.total() + max_shard_ios;
+  }
+  [[nodiscard]] std::uint64_t total_ios() const {
+    return partition_io.total() + sum_shard_ios;
+  }
 };
 
 /// Sharded top-level join. Hash-partitions `rels` per PlanShards, runs

@@ -2,9 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <map>
+#include <span>
 
 namespace emjoin::parallel {
+
+namespace {
+
+// One shard's fragment of the relation being partitioned: a fresh file
+// on the shard's device, written under the "partition" tag.
+struct FragmentWriter {
+  FragmentWriter(extmem::Device* device, std::uint32_t width)
+      : tag(device, "partition"), writer(device->NewFile(width)) {}
+
+  extmem::ScopedIoTag tag;
+  extmem::FileWriter writer;
+};
+
+}  // namespace
 
 ShardPlan PlanShards(const std::vector<storage::Relation>& rels,
                      std::uint32_t shards) {
@@ -59,31 +75,38 @@ std::vector<std::vector<storage::Relation>> PartitionRelations(
 
   for (std::size_t ri = 0; ri < rels.size(); ++ri) {
     const storage::Relation& rel = rels[ri];
-    std::vector<storage::Tuple> tuples;
+    const std::uint32_t width = rel.schema().arity();
+    // A deque, because FragmentWriter can be neither copied nor moved.
+    std::deque<FragmentWriter> frags;
+    for (extmem::Device* dev : shard_devices) frags.emplace_back(dev, width);
     {
       const extmem::ScopedIoTag tag(rel.device(), "partition");
-      tuples = rel.ReadAll();
-    }
-
-    std::vector<std::vector<storage::Tuple>> buckets(plan.shards);
-    if (plan.partitioned[ri]) {
-      const auto col = rel.schema().PositionOf(plan.partition_attr);
-      assert(col.has_value());
-      for (storage::Tuple& t : tuples) {
-        buckets[ShardOfValue(t[*col], plan.shards)].push_back(std::move(t));
+      extmem::FileReader reader(rel.range());
+      if (plan.partitioned[ri]) {
+        const auto col = rel.schema().PositionOf(plan.partition_attr);
+        assert(col.has_value());
+        while (!reader.Done()) {
+          const std::span<const Value> block = reader.NextBlock();
+          for (std::size_t off = 0; off < block.size(); off += width) {
+            const std::uint32_t s =
+                ShardOfValue(block[off + *col], plan.shards);
+            frags[s].writer.Append(block.subspan(off, width));
+          }
+        }
+      } else {
+        // Broadcast: every shard sees the whole relation.
+        while (!reader.Done()) {
+          const std::span<const Value> block = reader.NextBlock();
+          for (FragmentWriter& frag : frags) frag.writer.AppendBlock(block);
+        }
       }
-    } else {
-      // Broadcast: every shard sees the whole relation.
-      for (std::uint32_t s = 0; s < plan.shards; ++s) buckets[s] = tuples;
     }
-
     for (std::uint32_t s = 0; s < plan.shards; ++s) {
-      const extmem::ScopedIoTag tag(shard_devices[s], "partition");
-      storage::Relation frag = storage::Relation::FromTuples(
-          shard_devices[s], rel.schema(), buckets[s]);
-      // Filtering rows preserves their relative order, so the fragment
+      frags[s].writer.Finish();
+      const extmem::FileRange range(frags[s].writer.file());
+      // Routing keeps each tuple's relative order, so the fragment
       // keeps the source's sort metadata.
-      out[s].emplace_back(rel.schema(), frag.range(), rel.sorted_by());
+      out[s].emplace_back(rel.schema(), range, rel.sorted_by());
     }
   }
   return out;

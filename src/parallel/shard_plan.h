@@ -44,12 +44,21 @@ ShardPlan PlanShards(const std::vector<storage::Relation>& rels,
 /// with the generator's patterns instead of uniformly.
 std::uint32_t ShardOfValue(Value v, std::uint32_t shards);
 
-/// Materializes the plan: reads each input relation once off its source
-/// device (charged there under the "partition" tag) and writes each
-/// shard's fragment onto that shard's device (charged there under
-/// "partition" too). Fragments inherit the source relation's sorted-by
-/// metadata — hash partitioning filters rows without reordering them, so
-/// a sorted input yields sorted fragments.
+/// Materializes the plan in one streaming pass per input relation: the
+/// relation is read block by block off its source device (charged there
+/// under the "partition" tag), and each tuple goes straight to a fresh
+/// fragment file on its shard's device (charged there under "partition"
+/// too). A hash-partitioned relation routes each tuple by
+/// ShardOfValue(partition value); a broadcast relation appends every
+/// source block to every shard. The host holds K writers, never a copy
+/// of the input.
+///
+/// Each device's charges are those of reading every relation whole and
+/// then writing each fragment tuple by tuple: the source pays one read
+/// per block its range spans, shard s pays ceil(|fragment|/B) writes per
+/// fragment, in relation order, one block per charge. Fragments inherit
+/// the source relation's sorted-by metadata: routing filters rows
+/// without reordering them, so a sorted input yields sorted fragments.
 ///
 /// Returns per-shard relation lists: result[s][r] is shard s's fragment
 /// of rels[r].

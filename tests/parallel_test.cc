@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -120,30 +121,92 @@ TEST(ShardPlanTest, PicksTheAttributeCoveringTheMostData) {
   EXPECT_EQ(floor_plan.shard_memory, TupleCount{4});
 }
 
+// Blocks a sequential read of `range` crosses: what FileReader charges.
+std::uint64_t BlocksSpanned(const extmem::FileRange& range, TupleCount b) {
+  if (range.empty()) return 0;
+  return (range.end - 1) / b - range.begin / b + 1;
+}
+
 TEST(ShardPlanTest, FragmentsPartitionTheInputExactly) {
-  extmem::Device src(64, 4);
-  const std::vector<storage::Relation> rels = Line3Instance(&src);
-  const ShardPlan plan = PlanShards(rels, 4);
-  std::vector<std::unique_ptr<extmem::Device>> devs;
-  std::vector<extmem::Device*> dev_ptrs;
-  for (int i = 0; i < 4; ++i) {
-    devs.push_back(
-        std::make_unique<extmem::Device>(plan.shard_memory, src.B()));
-    dev_ptrs.push_back(devs.back().get());
-  }
-  const auto frags = PartitionRelations(rels, plan, dev_ptrs);
-  ASSERT_EQ(frags.size(), 4u);
-  for (std::size_t r = 0; r < rels.size(); ++r) {
-    TupleCount total = 0;
-    for (std::size_t s = 0; s < 4; ++s) {
-      ASSERT_EQ(frags[s].size(), rels.size());
-      EXPECT_EQ(frags[s][r].schema().attrs(), rels[r].schema().attrs());
-      total += frags[s][r].size();
+  constexpr std::uint32_t kShards = 4;
+  const std::vector<std::string> variants = {"generated", "sliced", "sorted"};
+  for (const std::string& variant : variants) {
+    SCOPED_TRACE(variant);
+    extmem::Device src(64, 4);
+    std::vector<storage::Relation> rels = Line3Instance(&src);
+    const storage::AttrId attr = PlanShards(rels, kShards).partition_attr;
+    for (storage::Relation& rel : rels) {
+      if (variant == "sliced") {
+        // [1, 298) of 300 tuples at B = 4 starts and ends mid-block, so
+        // the source range spans a partial block at each end.
+        rel = rel.Slice(1, rel.size() - 2);
+      } else if (variant == "sorted") {
+        const storage::AttrId key =
+            rel.schema().Contains(attr) ? attr : rel.schema().attr(0);
+        rel = rel.SortedBy(key);
+      }
     }
-    // Partitioned relations split without loss or duplication;
-    // broadcast relations appear once per shard.
-    EXPECT_EQ(total, plan.partitioned[r] ? rels[r].size()
-                                         : rels[r].size() * 4);
+    const ShardPlan plan = PlanShards(rels, kShards);
+    ASSERT_EQ(plan.partition_attr, attr);
+    std::vector<std::unique_ptr<extmem::Device>> devs;
+    std::vector<extmem::Device*> dev_ptrs;
+    for (std::uint32_t i = 0; i < kShards; ++i) {
+      devs.push_back(
+          std::make_unique<extmem::Device>(plan.shard_memory, src.B()));
+      dev_ptrs.push_back(devs.back().get());
+    }
+    const extmem::IoStats src_before = src.stats();
+    const auto frags = PartitionRelations(rels, plan, dev_ptrs);
+
+    // The source pays one read per block each input range spans, all
+    // under "partition", and nothing else.
+    std::uint64_t spanned = 0;
+    for (const storage::Relation& rel : rels) {
+      spanned += BlocksSpanned(rel.range(), src.B());
+    }
+    EXPECT_EQ(src.stats() - src_before, (extmem::IoStats{spanned, 0}));
+    EXPECT_EQ(src.per_tag().at("partition"), (extmem::IoStats{spanned, 0}));
+
+    // Each shard pays ceil(|fragment| / B) writes per fragment, all under
+    // "partition", and nothing else.
+    ASSERT_EQ(frags.size(), kShards);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_EQ(frags[s].size(), rels.size());
+      std::uint64_t writes = 0;
+      for (const storage::Relation& frag : frags[s]) {
+        writes += devs[s]->BlocksFor(frag.size());
+      }
+      EXPECT_EQ(devs[s]->stats(), (extmem::IoStats{0, writes}))
+          << "shard " << s;
+      EXPECT_EQ(devs[s]->per_tag().at("partition"), devs[s]->stats())
+          << "shard " << s;
+    }
+
+    for (std::size_t r = 0; r < rels.size(); ++r) {
+      const std::vector<storage::Tuple> source = rels[r].ReadAll();
+      const auto col = rels[r].schema().PositionOf(plan.partition_attr);
+      ASSERT_EQ(col.has_value(), plan.partitioned[r]);
+      TupleCount total = 0;
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        const storage::Relation& frag = frags[s][r];
+        EXPECT_EQ(frag.schema().attrs(), rels[r].schema().attrs());
+        EXPECT_EQ(frag.sorted_by(), rels[r].sorted_by());
+        // A fragment is its shard's subsequence of the source, in source
+        // order; a broadcast fragment is the whole source.
+        std::vector<storage::Tuple> expected;
+        for (const storage::Tuple& t : source) {
+          if (!col.has_value() || ShardOfValue(t[*col], kShards) == s) {
+            expected.push_back(t);
+          }
+        }
+        EXPECT_EQ(frag.ReadAll(), expected) << "shard " << s << " rel " << r;
+        total += frag.size();
+      }
+      // Partitioned relations split without loss or duplication;
+      // broadcast relations appear once per shard.
+      EXPECT_EQ(total, plan.partitioned[r] ? rels[r].size()
+                                           : rels[r].size() * kShards);
+    }
   }
 }
 
@@ -162,6 +225,7 @@ TEST(ParallelJoinTest, ShardedJoinMatchesSerialResults) {
     ParallelOptions options;
     options.shards = k;
     options.workers = 2;
+    const extmem::IoStats before = dev.stats();
     const auto result = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(test::Sorted(std::move(sink.results())), expected) << "K=" << k;
@@ -177,6 +241,11 @@ TEST(ParallelJoinTest, ShardedJoinMatchesSerialResults) {
     }
     EXPECT_EQ(result->sum_shard_ios, sum);
     EXPECT_EQ(result->max_shard_ios, mx);
+    // The query's totals count the partition's source reads once, on top
+    // of the shards: everything the source device paid during the call.
+    EXPECT_EQ(result->partition_io, dev.stats() - before);
+    EXPECT_EQ(result->critical_path_ios(), result->partition_io.total() + mx);
+    EXPECT_EQ(result->total_ios(), result->partition_io.total() + sum);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "counting/cardinality.h"
 #include "gens/gens.h"
 #include "gens/psi.h"
+#include "parallel/parallel_join.h"
 #include "tests/test_util.h"
 #include "workload/random_instance.h"
 
@@ -116,6 +117,72 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{8, 4, 30, 4, 2.0},
                       PropertyCase{9, 6, 8, 2, 0.0},
                       PropertyCase{10, 5, 16, 4, 0.8}));
+
+// The sharded differential check: a random query, on its generated
+// inputs and on inputs sliced to start mid-block, runs through
+// TryParallelJoinAuto at K in {2, 4} x W in {1, 4}. The sorted rows must
+// equal the reference join, and the emitted sequence and every per-shard
+// I/O count must not depend on W.
+class ShardedRandomQueryTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ShardedRandomQueryTest, MatchesReferenceAtEveryShardAndWorkerCount) {
+  const std::uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed);
+  const query::JoinQuery q = RandomAcyclicQuery(seed, 2 + rng() % 4);
+  ASSERT_TRUE(q.IsBergeAcyclic());
+
+  // M = 16B, so each of K <= 4 shards plans with at least 4 blocks.
+  const TupleCount block = rng() % 2 == 0 ? 2 : 4;
+  extmem::Device dev(16 * block, block);
+  workload::RandomOptions opts;
+  opts.seed = seed * 7 + 1;
+  opts.domain_size = 4 + rng() % 5;
+  opts.zipf_s = 0.5 * static_cast<double>(rng() % 3);
+  std::vector<TupleCount> sizes;
+  for (std::size_t e = 0; e < q.num_edges(); ++e) {
+    sizes.push_back(6 + rng() % 14);
+  }
+  std::vector<storage::Relation> generated =
+      workload::RandomInstance(&dev, q, sizes, opts);
+  std::vector<storage::Relation> sliced;
+  for (const storage::Relation& r : generated) {
+    sliced.push_back(r.Slice(1, r.size()));
+  }
+
+  for (const auto* rels : {&generated, &sliced}) {
+    SCOPED_TRACE(rels == &generated ? "generated" : "sliced");
+    const auto expected = core::ReferenceJoin(*rels);
+    for (const std::uint32_t k : {2u, 4u}) {
+      std::vector<std::vector<Value>> sequence;
+      std::vector<extmem::IoStats> shard_io;
+      for (const std::uint32_t w : {1u, 4u}) {
+        core::CollectingSink sink;
+        parallel::ParallelOptions options;
+        options.shards = k;
+        options.workers = w;
+        const auto result =
+            parallel::TryParallelJoinAuto(*rels, sink.AsEmitFn(), options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        std::vector<extmem::IoStats> io;
+        for (const parallel::ShardReport& s : result->per_shard) {
+          io.push_back(s.io);
+        }
+        if (w == 1) {
+          sequence = sink.results();
+          shard_io = std::move(io);
+          EXPECT_EQ(test::Sorted(sink.results()), expected) << "K=" << k;
+        } else {
+          EXPECT_EQ(sink.results(), sequence) << "K=" << k;
+          EXPECT_EQ(io, shard_io) << "K=" << k;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ShardedRandomQueryTest,
+                         ::testing::Range<std::uint64_t>(1, 161));
 
 TEST(RandomQueryPropertyTest, GenSFamiliesCoverEveryNonBudEdge) {
   for (std::uint64_t seed = 20; seed < 30; ++seed) {

@@ -420,8 +420,8 @@ int CmdJoin(const CommonFlags& flags) {
                     "I/Os, total %llu\n",
                     report->shards, names[report->partition_attr].c_str(),
                     report->workers,
-                    (unsigned long long)report->max_shard_ios,
-                    (unsigned long long)report->sum_shard_ios);
+                    (unsigned long long)report->critical_path_ios(),
+                    (unsigned long long)report->total_ios());
         if (flags.stats) {
           for (std::size_t s = 0; s < report->per_shard.size(); ++s) {
             const parallel::ShardReport& sr = report->per_shard[s];
