@@ -25,6 +25,7 @@
 
 #include "bench/bench_util.h"
 #include "core/dispatch.h"
+#include "parallel/parallel_join.h"
 #include "query/hypergraph.h"
 #include "workload/random_instance.h"
 
@@ -80,7 +81,7 @@ int Run() {
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
     extmem::Device dev(kM, kB);
     const auto rels = BuildInstance(&dev);
-    bench::AttachObservers(&dev);
+    bench::BenchObservers().Attach(&dev);
 
     parallel::ParallelOptions options;
     options.shards = kShards;

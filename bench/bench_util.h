@@ -1,6 +1,7 @@
 #ifndef EMJOIN_BENCH_BENCH_UTIL_H_
 #define EMJOIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -17,130 +18,26 @@
 #include "extmem/fault_injector.h"
 #include "gens/psi.h"
 #include "metrics/collect.h"
-#include "metrics/obs.h"
-#include "obs/runtime.h"
-#include "parallel/parallel_join.h"
-#include "trace/sinks.h"
+#include "obs/observers.h"
 #include "trace/tracer.h"
 
 namespace emjoin::bench {
 
-/// Process-wide tracing configuration, filled in by ParseTraceFlags.
-/// `enabled` is false unless the user passed a --trace flag, so benches
-/// run with tracing fully detached (Device::tracer() == nullptr) by
-/// default and keep their untraced wall clock.
-struct TraceConfig {
-  bool enabled = false;
-  std::string path;              // empty: tree report to stdout
-  std::string format = "tree";   // tree | jsonl | chrome
-};
-
-inline TraceConfig& GlobalTraceConfig() {
-  static TraceConfig config;
-  return config;
-}
-
-inline trace::Tracer& GlobalTracer() {
-  static trace::Tracer tracer;
-  return tracer;
-}
-
-/// Strips `--trace[=PATH]` and `--trace-format={tree,jsonl,chrome}` from
-/// argv (compacting it in place and shrinking *argc) so bench-specific
-/// flag parsing never sees them. Returns false — after printing a
-/// diagnostic to stderr — on an unknown trace format or a file-backed
-/// format without a path; callers should exit nonzero.
-inline bool ParseTraceFlags(int* argc, char** argv) {
-  TraceConfig& config = GlobalTraceConfig();
-  bool ok = true;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--trace") {
-      config.enabled = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      config.enabled = true;
-      config.path = std::string(arg.substr(8));
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      config.enabled = true;
-      config.format = std::string(arg.substr(15));
-      if (config.format != "tree" && config.format != "jsonl" &&
-          config.format != "chrome") {
-        std::fprintf(stderr,
-                     "unknown trace format '%s' (expected tree, jsonl, or "
-                     "chrome)\n",
-                     config.format.c_str());
-        ok = false;
-      }
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  if (ok && config.enabled && config.format != "tree" &&
-      config.path.empty()) {
-    std::fprintf(stderr, "--trace-format=%s requires --trace=PATH\n",
-                 config.format.c_str());
-    ok = false;
-  }
-  return ok;
-}
-
-/// Attaches the global tracer to `dev` iff tracing was requested.
-inline void AttachTracer(extmem::Device* dev) {
-  if (GlobalTraceConfig().enabled) dev->set_tracer(&GlobalTracer());
-}
-
-/// Attaches every requested observer (tracer, metrics registry, live
-/// telemetry). All observer-only: zero charged I/Os either way.
-inline void AttachObservers(extmem::Device* dev) {
-  AttachTracer(dev);
-  metrics::AttachMetrics(dev);
-  obs::AttachTelemetry(dev);
+/// The run's observers: tracer (--trace*), metrics registry
+/// (--metrics*, --audit) and live telemetry (--export-*, --recorder),
+/// configured by ParseBenchFlags. Benches run with every observer
+/// detached unless a flag asks for one, so they keep their untraced
+/// wall clock; attaching one charges zero I/Os. One instance per
+/// process until the benches become one driver.
+inline obs::Observers& BenchObservers() {
+  static obs::Observers observers;
+  return observers;
 }
 
 /// Interns a dynamic span name (SpanRecord stores a borrowed pointer).
 inline const char* InternSpanName(const std::string& name) {
   static std::set<std::string> names;
   return names.insert(name).first->c_str();
-}
-
-/// Flushes the collected trace to the configured sink. Call at the end
-/// of main and return the result as the exit code: 0 on success or when
-/// tracing is disabled, 1 when the output file cannot be written.
-inline int FinishTrace() {
-  const TraceConfig& config = GlobalTraceConfig();
-  if (!config.enabled) return 0;
-  const trace::Tracer& tracer = GlobalTracer();
-  bool ok = true;
-  if (config.format == "jsonl") {
-    ok = trace::WriteJsonl(tracer, config.path);
-  } else if (config.format == "chrome") {
-    ok = trace::WriteChromeTrace(tracer, config.path);
-  } else {
-    const std::string report = trace::TreeReport(tracer);
-    if (config.path.empty()) {
-      std::fputs(report.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(config.path.c_str(), "w");
-      ok = f != nullptr;
-      if (ok) {
-        std::fputs(report.c_str(), f);
-        std::fclose(f);
-      }
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr, "failed to write trace to %s\n",
-                 config.path.c_str());
-    return 1;
-  }
-  if (!config.path.empty()) {
-    std::fprintf(stderr, "trace: %zu spans (%s) -> %s\n",
-                 tracer.spans().size(), config.format.c_str(),
-                 config.path.c_str());
-  }
-  return 0;
 }
 
 /// Fixed-width table printer for experiment output.
@@ -220,6 +117,19 @@ inline std::uint64_t NowNs() {
           .count());
 }
 
+/// The nonzero per-tag I/O `dev` charged since `before`.
+inline metrics::TagSnapshot TagDeltas(const extmem::Device& dev,
+                                      const metrics::TagSnapshot& before) {
+  metrics::TagSnapshot deltas;
+  for (const auto& [tag, after] : dev.per_tag()) {
+    const auto it = before.find(tag);
+    const extmem::IoStats delta =
+        it == before.end() ? after : after - it->second;
+    if (delta.total() > 0) deltas[tag] = delta;
+  }
+  return deltas;
+}
+
 /// Collects per-benchmark wall-clock and I/O measurements and renders
 /// them as a table and/or a machine-readable JSON file, so the perf
 /// trajectory of the substrate is tracked across PRs.
@@ -251,18 +161,35 @@ class Reporter {
 
   void Add(Record r) { records_.push_back(std::move(r)); }
 
+  /// The record of one region of `dev` measured from (`before`,
+  /// `tags_before`), also folded into the device's registry if any.
+  static Record Region(std::string bench, extmem::Device* dev,
+                       std::uint64_t n, const extmem::IoStats& before,
+                       const metrics::TagSnapshot& tags_before,
+                       std::uint64_t results) {
+    Record rec;
+    rec.bench = std::move(bench);
+    rec.m = dev->M();
+    rec.b = dev->B();
+    rec.n = n;
+    rec.ios = (dev->stats() - before).total();
+    rec.results = results;
+    rec.peak_mem = dev->gauge().high_water();
+    rec.tags = TagDeltas(*dev, tags_before);
+    if (metrics::Registry* reg = dev->metrics()) {
+      metrics::CollectDeviceDelta(*dev, before, tags_before, reg);
+    }
+    return rec;
+  }
+
   /// Times `fn` `reps` times and records the best wall clock. `fn`
   /// returns the number of result tuples; I/Os are diffed off `dev`
   /// for the first repetition (reruns charge identically).
   void Measure(const std::string& bench, extmem::Device* dev, std::uint64_t n,
                int reps, const std::function<std::uint64_t()>& fn) {
-    AttachObservers(dev);
+    BenchObservers().Attach(dev);
     Record rec;
-    rec.bench = bench;
-    rec.m = dev->M();
-    rec.b = dev->B();
-    rec.n = n;
-    rec.wall_ns = ~std::uint64_t{0};
+    std::uint64_t best = ~std::uint64_t{0};
     for (int i = 0; i < reps; ++i) {
       const extmem::IoStats before = dev->stats();
       const auto tags_before = dev->per_tag();
@@ -272,25 +199,10 @@ class Reporter {
         trace::Span span(dev, InternSpanName(bench));
         results = fn();
       }
-      const std::uint64_t elapsed = NowNs() - t0;
-      if (elapsed < rec.wall_ns) rec.wall_ns = elapsed;
-      if (i == 0) {
-        rec.ios = (dev->stats() - before).total();
-        rec.results = results;
-        rec.peak_mem = dev->gauge().high_water();
-        for (const auto& [tag, after] : dev->per_tag()) {
-          extmem::IoStats delta = after;
-          if (const auto it = tags_before.find(tag);
-              it != tags_before.end()) {
-            delta = after - it->second;
-          }
-          if (delta.total() > 0) rec.tags[tag] = delta;
-        }
-        if (metrics::Registry* reg = dev->metrics()) {
-          metrics::CollectDeviceDelta(*dev, before, tags_before, reg);
-        }
-      }
+      best = std::min(best, NowNs() - t0);
+      if (i == 0) rec = Region(bench, dev, n, before, tags_before, results);
     }
+    rec.wall_ns = best;
     Add(std::move(rec));
   }
 
@@ -361,42 +273,6 @@ inline Reporter& GlobalReporter() {
   return reporter;
 }
 
-/// Sharded-execution knobs, filled in by ParseBenchFlags from
-/// --shards=K / --workers=W. Every bench strips (and thus accepts) the
-/// flags; only benches that route joins through RunJoinAutoSharded —
-/// bench_parallel today — act on them, the rest measure the serial
-/// operators regardless.
-struct ShardConfig {
-  std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
-};
-
-inline ShardConfig& GlobalShardConfig() {
-  static ShardConfig config;
-  return config;
-}
-
-/// Runs the auto-dispatched join under GlobalShardConfig (serial when
-/// shards == 1), merging shard metrics into the global registry when
-/// --metrics is active. Benches are fault-free, so a non-ok status is a
-/// harness bug: it aborts loudly rather than skewing the numbers.
-inline parallel::ParallelJoinReport RunJoinAutoSharded(
-    const std::vector<storage::Relation>& rels, const core::EmitFn& emit) {
-  parallel::ParallelOptions options;
-  options.shards = GlobalShardConfig().shards;
-  options.workers = GlobalShardConfig().workers;
-  metrics::Registry* merged = metrics::MetricsCollectionEnabled()
-                                  ? &metrics::GlobalMetricsRegistry()
-                                  : nullptr;
-  auto result = parallel::TryParallelJoinAuto(rels, emit, options, merged);
-  if (!result.ok()) {
-    std::fprintf(stderr, "sharded join failed: %s\n",
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  return *std::move(result);
-}
-
 /// Per-bench run configuration, filled in by ParseBenchFlags.
 struct BenchConfig {
   std::string name;       // e.g. "table1_line3"
@@ -410,25 +286,25 @@ inline BenchConfig& GlobalBenchConfig() {
   return config;
 }
 
-/// One-stop flag parsing for bench mains: strips trace flags
-/// (--trace[=PATH], --trace-format=...), observability flags
-/// (--metrics=PATH, --metrics-format=..., --audit=PATH), the sharding
-/// flags --shards=K / --workers=W (into GlobalShardConfig) and the bench
-/// output flags --json[=PATH], --no-json, --reps=K from argv, leaving
-/// any bench-specific flags in place. Returns false (diagnostic
-/// printed) on a malformed value; callers should exit nonzero.
+/// One-stop flag parsing for bench mains: strips the observer flags
+/// (--trace[=PATH], --trace-format=..., --metrics=PATH,
+/// --metrics-format=..., --audit=PATH, --export-*, --recorder=PATH) and
+/// the bench output flags --json[=PATH], --no-json, --reps=K from argv,
+/// leaving any bench-specific flags in place, then starts the exporter
+/// if one was asked for. Returns false (diagnostic printed) on a
+/// malformed value; callers should exit nonzero.
 inline bool ParseBenchFlags(int* argc, char** argv, const std::string& name,
                             int default_reps = 1) {
   BenchConfig& config = GlobalBenchConfig();
   config.name = name;
   config.json_path = "BENCH_" + name + ".json";
   config.reps = default_reps;
-  if (!ParseTraceFlags(argc, argv)) return false;
+  obs::Observers& observers = BenchObservers();
   bool ok = true;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string_view arg = argv[i];
-    const int obs = metrics::ParseObsFlag(arg);
+    const int obs = observers.ParseFlag(arg);
     if (obs != 0) {
       if (obs < 0) ok = false;
       continue;
@@ -443,21 +319,14 @@ inline bool ParseBenchFlags(int* argc, char** argv, const std::string& name,
     } else if (arg.rfind("--reps=", 0) == 0) {
       config.reps = std::atoi(arg.substr(7).data());
       if (config.reps < 1) config.reps = 1;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      GlobalShardConfig().shards = static_cast<std::uint32_t>(
-          std::strtoul(arg.substr(9).data(), nullptr, 10));
-      if (GlobalShardConfig().shards == 0) GlobalShardConfig().shards = 1;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      GlobalShardConfig().workers = static_cast<std::uint32_t>(
-          std::strtoul(arg.substr(10).data(), nullptr, 10));
-      if (GlobalShardConfig().workers == 0) GlobalShardConfig().workers = 1;
     } else {
       argv[out++] = argv[i];
     }
   }
   *argc = out;
+  ok = ok && observers.FlagsValid();
   if (ok) {
-    if (const extmem::Status status = obs::StartConfiguredExporter();
+    if (const extmem::Status status = observers.StartExporter();
         !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       ok = false;
@@ -477,7 +346,7 @@ inline Measured MeasureJoin(
     const std::function<void(const core::EmitFn&)>& run,
     const char* span_name = "join", long double expect_ios = -1.0L,
     std::uint64_t n = 0) {
-  AttachObservers(dev);
+  BenchObservers().Attach(dev);
   core::CountingSink sink;
   const extmem::IoStats before = dev->stats();
   const metrics::TagSnapshot tags_before = dev->per_tag();
@@ -492,32 +361,18 @@ inline Measured MeasureJoin(
   }
   const std::uint64_t elapsed = NowNs() - t0;
 
-  Reporter::Record rec;
-  rec.bench = span_name;
-  rec.m = dev->M();
-  rec.b = dev->B();
-  rec.n = n;
-  rec.ios = (dev->stats() - before).total();
+  Reporter::Record rec = Reporter::Region(span_name, dev, n, before,
+                                          tags_before, sink.count());
   rec.wall_ns = elapsed;
-  rec.results = sink.count();
-  rec.peak_mem = dev->gauge().high_water();
   rec.expect = expect_ios;
-  for (const auto& [tag, after] : dev->per_tag()) {
-    extmem::IoStats delta = after;
-    if (const auto it = tags_before.find(tag); it != tags_before.end()) {
-      delta = after - it->second;
-    }
-    if (delta.total() > 0) rec.tags[tag] = delta;
-  }
   if (metrics::Registry* reg = dev->metrics()) {
-    metrics::CollectDeviceDelta(*dev, before, tags_before, reg);
     if (dev->fault_injector() != nullptr) {
       metrics::CollectFaultDelta(
           dev->fault_injector()->stats() - faults_before, reg);
     }
     // Refresh the live /metrics body after each measured region so an
     // HTTP scrape mid-bench sees up-to-date samples.
-    obs::PublishGlobalMetrics();
+    BenchObservers().PublishMetrics();
   }
 
   Measured m;
@@ -528,50 +383,16 @@ inline Measured MeasureJoin(
 }
 
 /// Writes the measured-vs-bound audit for every record that carries an
-/// expected value, in the same {"rows": [...]} shape emjoin_audit uses
-/// so bench_diff can gate it. A row passes when measured/expected stays
-/// within [1/64, 64] — the bench-level band is generous because single
-/// points carry no slope information.
-inline bool WriteBenchAudit(const std::string& path) {
-  const auto& records = GlobalReporter().records();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // One-sided, like emjoin_audit: a Table 1 claim is an upper bound,
-  // so only exceeding it (beyond the constant-factor band plus a
-  // partial-block rounding slack) is a failure.
-  constexpr double kBand = 64.0;
-  constexpr double kSlackIos = 64.0;
-  bool all_pass = true;
-  std::string rows;
-  std::size_t audited = 0;
-  for (const Reporter::Record& r : records) {
+/// expected value. Single points carry no slope information, so the
+/// bench-level band is the generous one of obs::AuditRow.
+inline bool WriteBenchAudit() {
+  std::vector<obs::AuditRow> rows;
+  for (const Reporter::Record& r : GlobalReporter().records()) {
     if (r.expect < 0.0L) continue;
-    const double expected = static_cast<double>(r.expect);
-    const double ratio =
-        expected > 0 ? static_cast<double>(r.ios) / expected : 0.0;
-    const bool pass =
-        static_cast<double>(r.ios) <= kBand * expected + kSlackIos;
-    all_pass = all_pass && pass;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "%s    {\"name\": \"%s|M=%llu|B=%llu|n=%llu\", "
-                  "\"measured\": %llu, \"expected\": %.3f, "
-                  "\"ratio\": %.4f, \"verdict\": \"%s\"}",
-                  audited == 0 ? "" : ",\n", r.bench.c_str(),
-                  static_cast<unsigned long long>(r.m),
-                  static_cast<unsigned long long>(r.b),
-                  static_cast<unsigned long long>(r.n),
-                  static_cast<unsigned long long>(r.ios), expected, ratio,
-                  pass ? "PASS" : "FAIL");
-    rows += buf;
-    ++audited;
+    rows.push_back({r.bench + "|M=" + U(r.m) + "|B=" + U(r.b) + "|n=" + U(r.n),
+                    r.ios, r.expect});
   }
-  std::fprintf(f,
-               "{\n  \"schema\": \"emjoin-bench-audit-v1\",\n"
-               "  \"all_pass\": %s,\n  \"rows\": [\n%s\n  ]\n}\n",
-               all_pass ? "true" : "false", rows.c_str());
-  std::fclose(f);
-  return true;
+  return BenchObservers().WriteAudit(rows);
 }
 
 /// Flushes everything a bench accumulated: the BENCH_<name>.json
@@ -591,21 +412,31 @@ inline int FinishBench() {
       rc = 1;
     }
   }
-  if (!metrics::WriteMetricsFile()) rc = 1;
-  const std::string& audit_path = metrics::GlobalObsConfig().audit_path;
+  obs::Observers& observers = BenchObservers();
+  if (!observers.WriteMetrics()) rc = 1;
+  const std::string& audit_path = observers.audit_path();
   if (!audit_path.empty()) {
-    if (WriteBenchAudit(audit_path)) {
+    if (WriteBenchAudit()) {
       std::fprintf(stderr, "audit -> %s\n", audit_path.c_str());
     } else {
       std::fprintf(stderr, "cannot write %s\n", audit_path.c_str());
       rc = 1;
     }
   }
-  const int trace_rc = FinishTrace();
-  if (rc == 0) rc = trace_rc;
+  if (!observers.WriteTrace()) {
+    std::fprintf(stderr, "failed to write trace to %s\n",
+                 observers.trace_path().c_str());
+    if (rc == 0) rc = 1;
+  } else if (observers.tracer() != nullptr &&
+             !observers.trace_path().empty()) {
+    std::fprintf(stderr, "trace: %zu spans (%s) -> %s\n",
+                 observers.tracer()->spans().size(),
+                 observers.trace_format().c_str(),
+                 observers.trace_path().c_str());
+  }
   // Telemetry epilogue last: pins /progress at 100 on success, dumps
   // the flight recorder, lingers for a final scrape, stops the exporter.
-  return obs::FinishTelemetry(rc);
+  return observers.Finish(rc);
 }
 
 }  // namespace emjoin::bench

@@ -1,8 +1,53 @@
 #include "extmem/fault_injector.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace emjoin::extmem {
+
+std::optional<Status> ParseFaultSetting(std::string_view key,
+                                        const std::string& value,
+                                        FaultConfig* config) {
+  const auto bad = [key](const char* expected) {
+    return Status(StatusCode::kInvalidInput,
+                  std::string(key) + " must be " + expected);
+  };
+  double* probability = key == "fault-read"    ? &config->read_fail
+                        : key == "fault-write" ? &config->write_fail
+                        : key == "fault-torn"  ? &config->torn_write
+                                               : nullptr;
+  if (probability != nullptr) {
+    char* end = nullptr;
+    const double p = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || p < 0.0 || p > 1.0) {
+      return bad("in [0, 1]");
+    }
+    *probability = p;
+    return Status::Ok();
+  }
+  if (key == "fault-adaptive-retry") {
+    if (value != "0" && value != "1") return bad("0 or 1");
+    config->adaptive_retry = value == "1";
+    return Status::Ok();
+  }
+  if (key != "fault-seed" && key != "fault-retries" &&
+      key != "fault-kill-at") {
+    return std::nullopt;
+  }
+  if (value.empty() || value.find_first_not_of("0123456789") !=
+                           std::string::npos) {
+    return bad("an unsigned integer");
+  }
+  const std::uint64_t number = std::strtoull(value.c_str(), nullptr, 10);
+  if (key == "fault-seed") {
+    config->seed = number;
+  } else if (key == "fault-retries") {
+    config->retry.max_retries = static_cast<std::uint32_t>(number);
+  } else {
+    config->kill_at_ios = number;
+  }
+  return Status::Ok();
+}
 
 std::optional<TupleCount> FaultInjector::NextShrink(std::uint64_t clock_ios,
                                                     TupleCount current,

@@ -7,10 +7,12 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/thread_annotations.h"
 #include "extmem/defs.h"
+#include "extmem/status.h"
 
 namespace emjoin::extmem {
 
@@ -96,6 +98,18 @@ struct FaultConfig {
            shrink_prob > 0 || shrink_every_poll || kill_at_ios > 0;
   }
 };
+
+/// Parses one fault setting by its key, for the two surfaces that take
+/// them as text: the daemon's query spec (`fault-read=0.1`) and
+/// emjoin_cli's flags (`--fault-read=0.1`). The keys are fault-seed,
+/// fault-read, fault-write, fault-torn, fault-retries, fault-kill-at
+/// (0 disables it) and fault-adaptive-retry (0 or 1). Probabilities must
+/// lie in [0, 1]; counts are unsigned decimals. Returns nullopt when
+/// `key` names none of these, kInvalidInput with a one-line reason on a
+/// bad value, and Ok after storing the value in `config`.
+[[nodiscard]] std::optional<Status> ParseFaultSetting(std::string_view key,
+                                                      const std::string& value,
+                                                      FaultConfig* config);
 
 /// Tallies of injected faults and recovery work, for tests and reports.
 struct FaultStats {
@@ -204,7 +218,9 @@ class FaultInjector {
   /// charge after RequestKill(), whichever comes first.
   bool NextKill(std::uint64_t clock_ios) {
     if (killed_) return false;
-    if (async_kill_.load(std::memory_order_acquire)) {
+    if (async_kill_.load(std::memory_order_acquire) ||
+        (kill_source_ != nullptr &&
+         kill_source_->async_kill_.load(std::memory_order_acquire))) {
       killed_ = true;
       return true;
     }
@@ -221,6 +237,12 @@ class FaultInjector {
   /// deterministic replay mechanism (soak harness, CI). A query doing
   /// pure host-side work between charges dies at its next block charge.
   void RequestKill() { async_kill_.store(true, std::memory_order_release); }
+
+  /// Makes this injector's kill check also observe `source`'s
+  /// RequestKill(). A sharded query's shard injectors follow the source
+  /// device's, so a live kill reaches shards that are already running.
+  /// Set before the injector's device starts charging.
+  void FollowKills(const FaultInjector* source) { kill_source_ = source; }
 
   /// True once a kill — scheduled or requested — has fired. Read on the
   /// owning (device) thread to classify the resulting kIoError.
@@ -278,6 +300,7 @@ class FaultInjector {
   std::uint64_t mode_transitions_ = 0;
 
   bool killed_ = false;  // a kill (scheduled or requested) fired
+  const FaultInjector* kill_source_ = nullptr;  // see FollowKills
   // Lock-free: RequestKill() (any thread) release-stores it; NextKill
   // on the owning device thread acquire-loads it. The injector's only
   // cross-thread member — everything else is device-thread-confined.

@@ -79,13 +79,6 @@ inline void CollectFaultDelta(const extmem::FaultStats& delta, Registry* reg) {
   }
 }
 
-/// Convenience: collect the injector's lifetime stats (no baseline).
-inline void CollectFaultStats(const extmem::Device& dev, Registry* reg) {
-  if (const extmem::FaultInjector* inj = dev.fault_injector()) {
-    CollectFaultDelta(inj->stats(), reg);
-  }
-}
-
 }  // namespace emjoin::metrics
 
 #endif  // EMJOIN_METRICS_COLLECT_H_

@@ -61,12 +61,12 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
           recover::TryResumableJoinAuto(rels, counted, options.manifest);
       if (!r.ok()) return r.status();
       report.auto_report = r->join;
-      report.results = rows;
-      return report;
+    } else {
+      extmem::Result<core::AutoJoinReport> r =
+          core::TryJoinAuto(rels, counted);
+      if (!r.ok()) return r.status();
+      report.auto_report = std::move(r).value();
     }
-    extmem::Result<core::AutoJoinReport> r = core::TryJoinAuto(rels, counted);
-    if (!r.ok()) return r.status();
-    report.auto_report = std::move(r).value();
     report.results = rows;
     return report;
   }
@@ -89,10 +89,13 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
 
   // Shard-local substrate: each shard owns a Device with budget
   // max(M/K, B), plus its own Tracer / Registry / FaultInjector when the
-  // corresponding sink is active on the source. Nothing mutable is
-  // shared across shards, which is what makes the worker pool safe and
-  // the merged report deterministic. Declared before the fragments so
-  // relations die before the devices backing their files.
+  // corresponding sink is active on the source. A source injector gives
+  // every shard one too (idle unless faults are configured) that follows
+  // the source's kill switch, so a live kill stops running shards.
+  // Nothing mutable is shared across shards, which is what makes the
+  // worker pool safe and the merged report deterministic. Declared
+  // before the fragments so relations die before the devices backing
+  // their files.
   std::vector<std::unique_ptr<extmem::Device>> devices;
   std::vector<std::unique_ptr<trace::Tracer>> tracers(k);
   std::vector<std::unique_ptr<metrics::Registry>> registries(k);
@@ -113,10 +116,12 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
       registries[s] = std::make_unique<metrics::Registry>();
       dev->set_metrics(registries[s].get());
     }
-    if (faulted) {
-      extmem::FaultConfig config = options.fault_config;
+    if (faulted || src->fault_injector() != nullptr) {
+      extmem::FaultConfig config =
+          faulted ? options.fault_config : extmem::FaultConfig{};
       config.seed = options.fault_config.seed + s;
       injectors[s] = std::make_unique<extmem::FaultInjector>(config);
+      injectors[s]->FollowKills(src->fault_injector());
       dev->set_fault_injector(injectors[s].get());
     }
     if (src->events() != nullptr) {

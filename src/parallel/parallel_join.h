@@ -32,6 +32,9 @@ struct ParallelOptions {
   std::uint32_t workers = 1;
   /// Attach a per-shard FaultInjector seeded fault_config.seed + shard
   /// id, so every shard draws an independent but replayable schedule.
+  /// When the source device has an injector, every shard gets one
+  /// regardless (idle without `faults`) that follows the source's
+  /// RequestKill(); without either, shards run injector-free.
   bool faults = false;
   extmem::FaultConfig fault_config;
   /// Optional whole-query checkpoint. When set, every shard journals its

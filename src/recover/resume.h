@@ -12,16 +12,6 @@
 
 namespace emjoin::recover {
 
-struct ResumeOptions {
-  /// Re-deliver the watermark (rows the interrupted attempt already
-  /// emitted) into the sink before running. Off by default: the usual
-  /// consumer (CLI, soak harness) already received those rows from the
-  /// first attempt, and wants only the remainder — the union of both
-  /// attempts is then the exact uninterrupted output with zero
-  /// duplicates. Turn on for a fresh sink that needs the full set.
-  bool replay_watermark = false;
-};
-
 struct ResumeReport {
   /// Rows the manifest already held when this attempt started.
   std::uint64_t watermark_rows = 0;
@@ -39,13 +29,15 @@ struct ResumeReport {
 /// through the manifest's watermark journal — suppressing rows a prior
 /// interrupted attempt already delivered — and marks the "join" phase
 /// complete on success, so a further resume replays from the journal
-/// without re-running anything. The manifest is updated in place on
-/// BOTH success and failure; persisting it after a failed attempt
-/// (QueryManifest::WriteTo) is exactly what makes the next attempt a
-/// resume instead of a restart.
+/// without re-running anything. Rows of the watermark are never
+/// re-delivered here; a caller with a fresh sink replays the journal
+/// after binding (run::Runner's replay_watermark). The manifest is
+/// updated in place on BOTH success and failure; persisting it after a
+/// failed attempt (QueryManifest::WriteTo) is exactly what makes the
+/// next attempt a resume instead of a restart.
 [[nodiscard]] extmem::Result<ResumeReport> TryResumableJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
-    QueryManifest* manifest, const ResumeOptions& options = {});
+    QueryManifest* manifest);
 
 }  // namespace emjoin::recover
 

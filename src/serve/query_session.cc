@@ -127,11 +127,6 @@ bool QuerySession::kill_requested() const {
   return kill_requested_;
 }
 
-void QuerySession::SetBound(double bound_ios) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  bound_ios_ = bound_ios;
-}
-
 void QuerySession::AbsorbAttempt(const metrics::Registry& attempt_registry,
                                  const extmem::IoStats& io,
                                  const extmem::FaultStats& faults,
@@ -150,10 +145,10 @@ QuerySessionSnapshot QuerySession::Snapshot() const {
   snap.id = id_;
   snap.state = state();
   snap.progress = telemetry_.tracker().Snapshot();
+  snap.bound_ios = snap.progress.predicted_ios;
   const std::lock_guard<std::mutex> lock(mu_);
   snap.attempts = attempts_;
   snap.rows = rows_;
-  snap.bound_ios = bound_ios_;
   snap.io = io_;
   snap.faults = faults_;
   snap.error = error_;

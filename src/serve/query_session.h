@@ -42,7 +42,7 @@ struct QuerySessionSnapshot {
   QueryState state = QueryState::kQueued;
   std::uint32_t attempts = 0;
   std::uint64_t rows = 0;
-  double bound_ios = 0.0;  // PredictBoundWorstCase (0: not planned yet)
+  double bound_ios = 0.0;  // the phase plan's total (0: not planned yet)
   extmem::IoStats io;      // summed across attempts
   extmem::FaultStats faults;
   std::string error;  // last attempt's failure message, empty on success
@@ -105,8 +105,6 @@ class QuerySession {
   void RequestKill() EXCLUDES(mu_);
   [[nodiscard]] bool kill_requested() const EXCLUDES(mu_);
 
-  void SetBound(double bound_ios) EXCLUDES(mu_);
-
   /// Folds one finished attempt into the session: merges the attempt's
   /// thread-confined registry, sums device I/O and fault tallies, and
   /// records the journaled row total and (on failure) the error text.
@@ -133,7 +131,6 @@ class QuerySession {
   QuerySpec spec_ GUARDED_BY(mu_);
   std::uint32_t attempts_ GUARDED_BY(mu_) = 0;
   std::uint64_t rows_ GUARDED_BY(mu_) = 0;
-  double bound_ios_ GUARDED_BY(mu_) = 0.0;
   extmem::IoStats io_ GUARDED_BY(mu_);
   extmem::FaultStats faults_ GUARDED_BY(mu_);
   std::string error_ GUARDED_BY(mu_);

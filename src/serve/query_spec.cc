@@ -1,7 +1,5 @@
 #include "serve/query_spec.h"
 
-#include <cstdlib>
-
 #include "obs/progress.h"
 
 namespace emjoin::serve {
@@ -21,16 +19,6 @@ bool ParseU64(const std::string& text, std::uint64_t* out) {
     if (c < '0' || c > '9') return false;
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  *out = value;
-  return true;
-}
-
-bool ParseProbability(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < 0.0 || value > 1.0) return false;
   *out = value;
   return true;
 }
@@ -70,7 +58,6 @@ extmem::Result<QuerySpec> ParseQuerySpec(const std::string& body) {
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
     std::uint64_t number = 0;
-    double probability = 0.0;
     if (key == "id") {
       if (!ValidId(value)) {
         return SpecError(line_no,
@@ -115,43 +102,10 @@ extmem::Result<QuerySpec> ParseQuerySpec(const std::string& body) {
                          "rel must be 'attrs=path.csv', got '" + value + "'");
       }
       spec.relations.push_back(
-          RelationSpec{value.substr(0, inner), value.substr(inner + 1)});
-    } else if (key == "fault-seed") {
-      if (!ParseU64(value, &number)) {
-        return SpecError(line_no, "fault-seed must be an unsigned integer");
-      }
-      spec.fault_config.seed = number;
-    } else if (key == "fault-read") {
-      if (!ParseProbability(value, &probability)) {
-        return SpecError(line_no, "fault-read must be in [0, 1]");
-      }
-      spec.fault_config.read_fail = probability;
-    } else if (key == "fault-write") {
-      if (!ParseProbability(value, &probability)) {
-        return SpecError(line_no, "fault-write must be in [0, 1]");
-      }
-      spec.fault_config.write_fail = probability;
-    } else if (key == "fault-torn") {
-      if (!ParseProbability(value, &probability)) {
-        return SpecError(line_no, "fault-torn must be in [0, 1]");
-      }
-      spec.fault_config.torn_write = probability;
-    } else if (key == "fault-retries") {
-      if (!ParseU64(value, &number)) {
-        return SpecError(line_no, "fault-retries must be an unsigned integer");
-      }
-      spec.fault_config.retry.max_retries =
-          static_cast<std::uint32_t>(number);
-    } else if (key == "fault-kill-at") {
-      if (!ParseU64(value, &number)) {
-        return SpecError(line_no, "fault-kill-at must be an unsigned integer");
-      }
-      spec.fault_config.kill_at_ios = number;
-    } else if (key == "fault-adaptive-retry") {
-      if (value != "0" && value != "1") {
-        return SpecError(line_no, "fault-adaptive-retry must be 0 or 1");
-      }
-      spec.fault_config.adaptive_retry = value == "1";
+          run::CsvInput{value.substr(0, inner), value.substr(inner + 1)});
+    } else if (const auto fault =
+                   extmem::ParseFaultSetting(key, value, &spec.fault_config)) {
+      if (!fault->ok()) return SpecError(line_no, fault->message());
     } else {
       return SpecError(line_no, "unknown key '" + key + "'");
     }

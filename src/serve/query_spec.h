@@ -8,18 +8,9 @@
 #include "extmem/defs.h"
 #include "extmem/fault_injector.h"
 #include "extmem/status.h"
+#include "run/runner.h"
 
 namespace emjoin::serve {
-
-/// One relation of a submitted query: a schema spec in the CLI's
-/// comma-separated attribute syntax ("a,b") plus the CSV file to load
-/// through the storage layer — the same path emjoin_cli's join command
-/// uses, so a spec submitted to the daemon and the equivalent CLI
-/// invocation produce bit-identical output.
-struct RelationSpec {
-  std::string attrs;
-  std::string csv_path;
-};
 
 /// A query submission, parsed from the POST /queries body. The wire
 /// format is line-oriented `key=value`, one directive per line; blank
@@ -54,7 +45,10 @@ struct QuerySpec {
   std::uint32_t shards = 1;
   std::uint32_t workers = 1;
   std::string output_path;
-  std::vector<RelationSpec> relations;
+  /// Loaded by the query runner exactly as emjoin_cli's join command
+  /// loads them, so a spec and the equivalent CLI invocation produce
+  /// bit-identical output.
+  std::vector<run::CsvInput> relations;
   extmem::FaultConfig fault_config;
 };
 

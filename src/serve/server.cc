@@ -5,15 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "extmem/device.h"
-#include "gens/psi.h"
-#include "metrics/collect.h"
 #include "obs/build_info.h"
-#include "parallel/parallel_join.h"
-#include "query/hypergraph.h"
-#include "recover/resume.h"
-#include "storage/csv.h"
-#include "trace/tracer.h"
+#include "run/runner.h"
 
 namespace emjoin::serve {
 
@@ -498,36 +491,75 @@ void Server::RunSession(QuerySession* session) {
   session->BeginAttempt();
   const QuerySpec spec = session->spec();
 
-  extmem::Device device(spec.memory, spec.block);
-  device.set_events(&session->telemetry());
+  metrics::Registry attempt_registry;
+  SetAttemptHelp(&attempt_registry);
+  run::RunContext ctx;
+  ctx.memory = spec.memory;
+  ctx.block = spec.block;
+  ctx.csv = spec.relations;
+  ctx.shards = spec.shards;
+  ctx.workers = spec.workers;
   // Always attached (idle config when no faults configured — golden
   // I/O counts are pinned unchanged for idle injectors): the injector
   // is also the live kill switch POST /queries/<id>/kill arms.
-  extmem::FaultInjector injector(spec.fault_config);
-  device.set_fault_injector(&injector);
-  session->ArmKillSwitch(&injector);
+  ctx.faults = true;
+  ctx.fault_config = spec.fault_config;
+  // replay_watermark stays off: rows earlier attempts delivered are
+  // already in the output file; this attempt appends the remainder.
+  ctx.manifest = &session->manifest();
+  ctx.metrics = &attempt_registry;
+  ctx.telemetry = &session->telemetry();
+  run::Runner runner(std::move(ctx));
+  session->ArmKillSwitch(runner.injector());
 
-  metrics::Registry attempt_registry;
-  SetAttemptHelp(&attempt_registry);
-  extmem::IoStats shard_io;
-  extmem::FaultStats shard_faults;
-  const extmem::Status status = ExecuteAttempt(
-      spec, session, &device, &attempt_registry, &shard_io, &shard_faults);
-
+  std::FILE* out = nullptr;
+  const core::EmitFn emit = [&out](std::span<const Value> row) {
+    if (out == nullptr) return;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      std::fprintf(out, i == 0 ? "%llu" : ",%llu",
+                   static_cast<unsigned long long>(row[i]));
+    }
+    std::fputc('\n', out);
+  };
+  const auto open_output = [&]() -> extmem::Status {
+    if (spec.output_path.empty()) return extmem::Status::Ok();
+    // The first attempt truncates; resumed attempts append. The
+    // manifest journal suppresses rows earlier attempts already
+    // delivered, so the file's union is the exact uninterrupted output
+    // with zero duplicates.
+    const bool fresh_output =
+        session->attempts() == 1 && session->manifest().journal().rows() == 0;
+    out = std::fopen(spec.output_path.c_str(), fresh_output ? "w" : "a");
+    if (out == nullptr) {
+      return extmem::Status(extmem::StatusCode::kIoError,
+                            "cannot open output file " + spec.output_path);
+    }
+    return extmem::Status::Ok();
+  };
+  const auto report = runner.Run(emit, open_output);
+  if (out != nullptr) std::fclose(out);
   session->DisarmKillSwitch();
 
-  metrics::CollectDeviceDelta(device, extmem::IoStats{}, {},
-                              &attempt_registry);
-  metrics::CollectFaultDelta(injector.stats(), &attempt_registry);
-  session->AbsorbAttempt(attempt_registry, device.stats() + shard_io,
-                         injector.stats() + shard_faults,
+  // Shard devices and injectors are the runner's orchestrator device's
+  // siblings, not part of it: fold their tallies in explicitly.
+  extmem::IoStats io = runner.device().stats();
+  extmem::FaultStats faults = runner.injector()->stats();
+  if (report.ok()) {
+    for (const parallel::ShardReport& sr : report->parallel.per_shard) {
+      io += sr.io;
+      faults = faults + sr.faults;
+    }
+  }
+  const extmem::Status status =
+      report.ok() ? extmem::Status::Ok() : report.status();
+  session->AbsorbAttempt(attempt_registry, io, faults,
                          session->manifest().journal().rows(), status);
 
   // A sharded attempt's kill fires in a per-shard injector the
   // orchestrator never sees; the device's kill Status text ("(killed;")
   // is the stable signal in that case.
   const bool died_killed =
-      injector.killed() || session->kill_requested() ||
+      runner.injector()->killed() || session->kill_requested() ||
       (status.code() == extmem::StatusCode::kIoError &&
        status.ToString().find("(killed;") != std::string::npos);
   if (status.ok()) {
@@ -563,101 +595,6 @@ void Server::RunSession(QuerySession* session) {
 void Server::LaunchAdmitted(QuerySession* session) {
   session->set_state(QueryState::kAdmitted);
   run_pool_->Submit([this, session] { RunSession(session); });
-}
-
-extmem::Status Server::ExecuteAttempt(const QuerySpec& spec,
-                                      QuerySession* session,
-                                      extmem::Device* device,
-                                      metrics::Registry* attempt_registry,
-                                      extmem::IoStats* shard_io,
-                                      extmem::FaultStats* shard_faults) {
-  std::vector<std::string> names;
-  std::vector<storage::Relation> rels;
-  {
-    trace::Span load_span(device, "load");
-    for (const RelationSpec& relation : spec.relations) {
-      auto schema = storage::ParseSchemaSpec(relation.attrs, &names);
-      if (!schema.ok()) return schema.status();
-      auto rel = storage::RelationFromCsvFile(device, *std::move(schema),
-                                              relation.csv_path);
-      if (!rel.ok()) return rel.status();
-      rels.push_back(*std::move(rel));
-    }
-  }
-
-  query::JoinQuery q;
-  for (const auto& r : rels) q.AddRelation(r.schema(), r.size());
-  if (!q.IsBergeAcyclic()) {
-    return extmem::Status(
-        extmem::StatusCode::kInvalidInput,
-        "query is not Berge-acyclic; the daemon serves acyclic joins");
-  }
-  long double expected =
-      gens::PredictBoundWorstCase(q, device->M(), device->B()).bound;
-  if (spec.shards > 1) {
-    // Sharded runs pay one extra write+read pass to redistribute.
-    std::uint64_t input_blocks = 0;
-    for (const auto& r : rels) {
-      input_blocks += (r.size() + device->B() - 1) / device->B();
-    }
-    expected += 2.0L * static_cast<long double>(input_blocks);
-  }
-  session->SetBound(static_cast<double>(expected));
-  session->telemetry().tracker().SetPlan({{"join", expected}});
-
-  std::FILE* out = nullptr;
-  if (!spec.output_path.empty()) {
-    // The first attempt truncates; resumed attempts append. The
-    // manifest journal suppresses rows earlier attempts already
-    // delivered, so the file's union is the exact uninterrupted output
-    // with zero duplicates.
-    const bool fresh_output =
-        session->attempts() == 1 && session->manifest().journal().rows() == 0;
-    out = std::fopen(spec.output_path.c_str(), fresh_output ? "w" : "a");
-    if (out == nullptr) {
-      return extmem::Status(extmem::StatusCode::kIoError,
-                            "cannot open output file " + spec.output_path);
-    }
-  }
-  const core::EmitFn emit = [out](std::span<const Value> row) {
-    if (out == nullptr) return;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      std::fprintf(out, i == 0 ? "%llu" : ",%llu",
-                   static_cast<unsigned long long>(row[i]));
-    }
-    std::fputc('\n', out);
-  };
-
-  extmem::Status status = extmem::Status::Ok();
-  {
-    trace::Span join_span(device, "join");
-    if (spec.shards > 1) {
-      parallel::ParallelOptions poptions;
-      poptions.shards = spec.shards;
-      poptions.workers = spec.workers;
-      poptions.faults = spec.fault_config.Active();
-      poptions.fault_config = spec.fault_config;
-      poptions.manifest = &session->manifest();
-      const auto report =
-          parallel::TryParallelJoinAuto(rels, emit, poptions, attempt_registry);
-      if (!report.ok()) {
-        status = report.status();
-      } else {
-        for (const parallel::ShardReport& sr : report->per_shard) {
-          *shard_io += sr.io;
-          *shard_faults = *shard_faults + sr.faults;
-        }
-      }
-    } else {
-      // replay_watermark stays off: rows earlier attempts delivered are
-      // already in the output file; this attempt appends the remainder.
-      const auto report = recover::TryResumableJoinAuto(
-          rels, emit, &session->manifest(), recover::ResumeOptions{});
-      if (!report.ok()) status = report.status();
-    }
-  }
-  if (out != nullptr) std::fclose(out);
-  return status;
 }
 
 void Server::LogRequest(const obs::HttpRequest& request,

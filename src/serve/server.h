@@ -112,18 +112,10 @@ class Server {
                  obs::HttpReply* reply);
   std::string KillQuery(const std::string& id, std::string* http_status);
 
-  /// Runs one attempt of `session` on a pool worker, then releases its
-  /// admission reservation and launches any promoted queued sessions.
+  /// Runs one attempt of `session` on a pool worker through the query
+  /// runner, then releases its admission reservation and launches any
+  /// promoted queued sessions.
   void RunSession(QuerySession* session);
-  /// `attempt_registry` receives the sharded run's merged per-shard
-  /// metrics (shard="<i>" labels); `shard_io`/`shard_faults` sum the
-  /// shard devices' tallies, which the orchestrator `device` never sees.
-  [[nodiscard]] extmem::Status ExecuteAttempt(const QuerySpec& spec,
-                                              QuerySession* session,
-                                              extmem::Device* device,
-                                              metrics::Registry* attempt_registry,
-                                              extmem::IoStats* shard_io,
-                                              extmem::FaultStats* shard_faults);
   void LaunchAdmitted(QuerySession* session);
 
   QuerySession* FindSession(const std::string& id) REQUIRES(mu_);

@@ -7,13 +7,11 @@
 #include <sstream>
 #include <utility>
 
-#include "core/dispatch.h"
-#include "core/yannakakis.h"
 #include "extmem/device.h"
 #include "extmem/file.h"
 #include "extmem/sorter.h"
-#include "parallel/parallel_join.h"
 #include "recover/manifest.h"
+#include "run/runner.h"
 #include "workload/constructions.h"
 
 namespace emjoin::workload {
@@ -177,35 +175,52 @@ std::vector<storage::Relation> BuildJoinRels(extmem::Device* dev,
   }
 }
 
-BodyResult RunJoin(extmem::Device* dev, const SoakPlan& plan, bool inject) {
-  std::vector<storage::Relation> rels = BuildJoinRels(dev, plan);
-
-  BodyResult out;
-  const auto emit = [&](std::span<const Value> row) {
-    ++out.rows;
-    for (Value v : row) HashValue(&out.hash, v);
-    HashRowEnd(&out.hash);
-    out.set_hash += RowFnv(row);
-  };
-  // The throwing entry points: device faults surface as StatusException,
-  // which RunPlan's CatchStatus turns back into a typed outcome. The
-  // sharded path is already typed (one shard's failure is the query's
-  // Status), so it re-throws to land in the same catch.
-  if (plan.shards > 1 && !plan.use_yannakakis) {
-    parallel::ParallelOptions options;
-    options.shards = plan.shards;
-    options.workers = plan.workers;
-    options.faults = inject;
-    options.fault_config = plan.faults;
-    const auto report = parallel::TryParallelJoinAuto(rels, emit, options);
-    if (!report.ok()) extmem::ThrowStatus(report.status());
-    out.shard_faults = report->faults;
-  } else if (plan.use_yannakakis) {
-    core::YannakakisJoin(rels, emit);
-  } else {
-    core::JoinAuto(rels, emit);
+// The device's "recovery"-tagged charges and its whole-run total.
+void TallyDevice(const extmem::Device& dev, SoakOutcome* out) {
+  if (const auto it = dev.per_tag().find("recovery");
+      it != dev.per_tag().end()) {
+    out->recovery += it->second;
   }
-  return out;
+  out->total = dev.stats();
+}
+
+run::RunContext JoinContext(const SoakPlan& plan) {
+  run::RunContext ctx;
+  ctx.memory = plan.memory;
+  ctx.block = plan.block;
+  ctx.build = [plan](extmem::Device* dev) { return BuildJoinRels(dev, plan); };
+  ctx.yannakakis = plan.use_yannakakis;
+  ctx.shards = plan.shards;
+  ctx.workers = plan.workers;
+  return ctx;
+}
+
+// The join workloads through the query runner. Every failure is typed,
+// and for completed sharded runs the per-shard injectors' tallies are
+// folded in on top of the source device's.
+void RunJoin(const SoakPlan& plan, bool inject, SoakOutcome* out) {
+  run::RunContext ctx = JoinContext(plan);
+  ctx.faults = inject;
+  ctx.fault_config = plan.faults;
+  run::Runner runner(std::move(ctx));
+  BodyResult body;
+  const auto report = runner.Run([&body](std::span<const Value> row) {
+    ++body.rows;
+    for (Value v : row) HashValue(&body.hash, v);
+    HashRowEnd(&body.hash);
+    body.set_hash += RowFnv(row);
+  });
+  if (report.ok()) {
+    out->completed = true;
+    out->rows = body.rows;
+    out->hash = body.hash;
+    out->set_hash = body.set_hash;
+    out->fault_stats = report->parallel.faults;
+  } else {
+    out->status = report.status();
+  }
+  if (inject) out->fault_stats = out->fault_stats + runner.injector()->stats();
+  TallyDevice(runner.device(), out);
 }
 
 template <typename T>
@@ -298,16 +313,17 @@ SoakPlan PlanFromSeed(std::uint64_t seed) {
 }
 
 SoakOutcome RunPlan(const SoakPlan& plan, bool inject) {
+  SoakOutcome out;
+  if (plan.workload != 0) {
+    RunJoin(plan, inject, &out);
+    return out;
+  }
   extmem::Device dev(plan.memory, plan.block);
   extmem::FaultInjector injector(plan.faults);
   if (inject) dev.set_fault_injector(&injector);
 
-  const auto body = extmem::CatchStatus([&] {
-    return plan.workload == 0 ? RunSort(&dev, plan, inject)
-                              : RunJoin(&dev, plan, inject);
-  });
-
-  SoakOutcome out;
+  const auto body =
+      extmem::CatchStatus([&] { return RunSort(&dev, plan, inject); });
   if (body.ok()) {
     out.completed = true;
     out.rows = body->rows;
@@ -317,14 +333,11 @@ SoakOutcome RunPlan(const SoakPlan& plan, bool inject) {
   } else {
     out.status = body.status();
   }
-  // Source-device injector tallies, plus (for completed sharded runs)
-  // the per-shard injectors' tallies rolled up by the merge layer.
+  // Source-device injector tallies, plus (for completed sharded sorts)
+  // the per-shard injectors' tallies and device charges.
   out.fault_stats = injector.stats();
   if (body.ok()) out.fault_stats = out.fault_stats + body->shard_faults;
-  for (const auto& [tag, stats] : dev.per_tag()) {
-    if (tag == "recovery") out.recovery += stats;
-  }
-  out.total = dev.stats();
+  TallyDevice(dev, &out);
   if (body.ok()) {
     out.recovery += body->shard_recovery;
     out.total += body->shard_total;
@@ -392,39 +405,22 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
   const auto attempt = [&plan](recover::QueryManifest* manifest,
                                std::uint64_t kill_tick, Capture* cap,
                                std::uint64_t* clock_bound) -> extmem::Status {
-    extmem::Device dev(plan.memory, plan.block);
-    extmem::FaultInjector injector([&] {
-      extmem::FaultConfig config;
-      config.seed = plan.seed;
-      config.kill_at_ios = kill_tick;
-      return config;
-    }());
-    if (kill_tick > 0) dev.set_fault_injector(&injector);
-    parallel::ParallelOptions options;
-    options.shards = plan.shards;
-    options.workers = plan.workers;
-    options.manifest = manifest;
-    if (kill_tick > 0) {
-      options.faults = true;
-      options.fault_config.seed = plan.seed;
-      options.fault_config.kill_at_ios = kill_tick;
-    }
-    std::uint64_t max_shard = 0;
-    const auto result = extmem::CatchStatus([&] {
-      const std::vector<storage::Relation> rels = BuildJoinRels(&dev, plan);
-      const core::EmitFn emit = [cap](std::span<const Value> row) {
-        ++cap->rows;
-        cap->set += RowFnv(row);
-      };
-      auto report = parallel::TryParallelJoinAuto(rels, emit, options);
-      if (!report.ok()) extmem::ThrowStatus(report.status());
-      max_shard = report->max_shard_ios;
-      return 0;
+    run::RunContext ctx = JoinContext(plan);
+    ctx.faults = kill_tick > 0;
+    ctx.fault_config.seed = plan.seed;
+    ctx.fault_config.kill_at_ios = kill_tick;
+    ctx.manifest = manifest;
+    run::Runner runner(std::move(ctx));
+    const auto report = runner.Run([cap](std::span<const Value> row) {
+      ++cap->rows;
+      cap->set += RowFnv(row);
     });
     if (clock_bound != nullptr) {
-      *clock_bound = std::max<std::uint64_t>(dev.stats().total(), max_shard);
+      *clock_bound = std::max<std::uint64_t>(
+          runner.device().stats().total(),
+          report.ok() ? report->parallel.max_shard_ios : 0);
     }
-    return result.ok() ? extmem::Status::Ok() : result.status();
+    return report.ok() ? extmem::Status::Ok() : report.status();
   };
 
   KillResumeOutcome out;

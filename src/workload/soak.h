@@ -34,7 +34,7 @@ struct SoakPlan {
   TupleCount memory = 256;
   TupleCount block = 16;
   bool use_yannakakis = false;            // joins only
-  /// shards >= 2 routes a join through TryParallelJoinAuto (auto
+  /// shards >= 2 runs a join sharded through the query runner (auto
   /// dispatch only) and a sort through K shard devices each running its
   /// own SortManifest-checkpointed sort: per-shard injectors are seeded
   /// faults.seed + shard id, so the sharded fault schedule is as

@@ -20,6 +20,7 @@
 #include "parallel/worker_pool.h"
 #include "tests/test_util.h"
 #include "trace/tracer.h"
+#include "workload/constructions.h"
 #include "workload/random_instance.h"
 
 namespace emjoin::parallel {
@@ -440,6 +441,42 @@ TEST(ParallelJoinTest, ShardFailureSurfacesAsWholeQueryStatus) {
       << result.status().ToString();
   // The failed query emits nothing: no partial shard output escapes.
   EXPECT_TRUE(sink.results().empty());
+}
+
+// Requests the source injector's kill when a shard starts, the way a
+// live POST /queries/<id>/kill lands once the partition is done.
+class KillAtShardStart final : public extmem::IoEventSink {
+ public:
+  explicit KillAtShardStart(extmem::FaultInjector* injector)
+      : injector_(injector) {}
+  void OnBlocks(std::uint64_t, std::uint64_t, bool) override {}
+  void OnEvent(const extmem::ObsEvent& event) override {
+    if (event.kind == extmem::ObsEventKind::kShardStart) {
+      injector_->RequestKill();
+    }
+  }
+
+ private:
+  extmem::FaultInjector* injector_;
+};
+
+TEST(ParallelJoinTest, SourceKillStopsRunningShards) {
+  extmem::Device dev(1024, 16);
+  const auto rels = workload::L3WorstCase(&dev, 256, 1, 256);
+  extmem::FaultInjector injector{extmem::FaultConfig{}};
+  dev.set_fault_injector(&injector);
+  KillAtShardStart killer(&injector);
+  dev.set_events(&killer);
+  core::CountingSink sink;
+  ParallelOptions options;
+  options.shards = 2;
+  options.workers = 2;
+  const auto result = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), extmem::StatusCode::kIoError);
+  EXPECT_NE(result.status().ToString().find("(killed;"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(sink.count(), 0u);
 }
 
 TEST(ParallelJoinTest, ShardFaultSchedulesAreSeededAndReplayable) {

@@ -237,16 +237,8 @@ TEST(ResumeTest, CompletedManifestSkipsAllWorkAndReplaysOnRequest) {
   EXPECT_EQ(r->watermark_rows, 30u);
   EXPECT_EQ(again.count(), 0u);
   EXPECT_EQ(dev.stats().total(), ios_before);  // zero device I/O
-
-  // A fresh sink asks for the watermark replay and gets the full set.
-  CountingSink fresh;
-  recover::ResumeOptions opts;
-  opts.replay_watermark = true;
-  const auto rr =
-      recover::TryResumableJoinAuto(rels, fresh.AsEmitFn(), &m, opts);
-  ASSERT_TRUE(rr.ok());
-  EXPECT_TRUE(rr->already_complete);
-  EXPECT_EQ(fresh.count(), 30u);
+  // A fresh sink asks the query runner for the watermark replay
+  // (run_test.cc, RunnerTest.CompletedManifestReplaysIntoAFreshSink).
 }
 
 TEST(ResumeTest, KilledRunResumesWithZeroDuplicateEmits) {

@@ -209,7 +209,7 @@ TEST(ServeSpec, ParsesAFullSpec) {
   EXPECT_EQ(spec->output_path, "/tmp/q1.csv");
   ASSERT_EQ(spec->relations.size(), 2u);
   EXPECT_EQ(spec->relations[0].attrs, "a,b");
-  EXPECT_EQ(spec->relations[1].csv_path, "/data/r2.csv");
+  EXPECT_EQ(spec->relations[1].path, "/data/r2.csv");
   EXPECT_EQ(spec->fault_config.seed, 42u);
   EXPECT_DOUBLE_EQ(spec->fault_config.read_fail, 0.25);
   EXPECT_EQ(spec->fault_config.retry.max_retries, 6u);

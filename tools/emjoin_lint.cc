@@ -844,6 +844,7 @@ void CheckLockDiscipline(const FileModel& m, std::vector<Finding>* out) {
 //   rank 40  recover     manifests/resume (consumed by parallel)
 //   rank 50  parallel    sharded execution
 //   rank 60  obs         live observability plane
+//   rank 65  run         the one query runner (CLI, daemon, soak)
 //   rank 70  workload    soak/bench instance constructions
 //   rank 80  serve       the multi-query daemon
 //
@@ -863,8 +864,8 @@ void CheckIncludeLayering(const FileModel& m, std::vector<Finding>* out) {
   static constexpr Layer kLayers[] = {
       {"extmem", 0},    {"storage", 10}, {"core", 20},  {"query", 20},
       {"counting", 20}, {"gens", 20},    {"trace", 30}, {"metrics", 30},
-      {"recover", 40},  {"parallel", 50}, {"obs", 60},  {"workload", 70},
-      {"serve", 80},
+      {"recover", 40},  {"parallel", 50}, {"obs", 60},  {"run", 65},
+      {"workload", 70}, {"serve", 80},
   };
   static constexpr std::string_view kLayerless[] = {
       "core/thread_annotations.h", "trace/tracer.h", "metrics/registry.h"};
