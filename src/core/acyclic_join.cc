@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "core/reduce.h"
-#include "extmem/status.h"
 #include "metrics/registry.h"
 #include "query/classify.h"
 #include "trace/tracer.h"
@@ -31,12 +31,12 @@ class Executor {
            const gens::LeafChooser& chooser)
       : dev_(device),
         assignment_(assignment),
-        emit_(emit),
+        emit_(&emit),
         chooser_(chooser) {}
 
   void Run(std::vector<LiveRel> rels) {
     if (rels.empty()) return;
-    Rec(std::move(rels), [this] { emit_(assignment_->values()); });
+    Rec(std::move(rels), [this] { (*emit_)(assignment_->values()); });
   }
 
  private:
@@ -52,6 +52,21 @@ class Executor {
     assignment_->Bind(phys, t);
   }
 
+  // A chunk body for ProcessChunkWithReplan: while `body` runs, the
+  // final emit goes through the emit the chunk's guard hands it; the
+  // previous one is restored on return and on unwind.
+  template <typename Body>
+  ChunkBody Routed(Body body) {
+    return [this, body](const MemChunk& part, const EmitFn& emit) {
+      struct Restore {
+        const EmitFn** slot;
+        const EmitFn* saved;
+        ~Restore() { *slot = saved; }
+      } restore{&emit_, std::exchange(emit_, &emit)};
+      body(part);
+    };
+  }
+
   // Calls `on_result` once per result of the natural join of `rels`,
   // with all their attributes bound in the assignment.
   void Rec(std::vector<LiveRel> rels, const std::function<void()>& on_result);
@@ -65,7 +80,7 @@ class Executor {
 
   extmem::Device* dev_;
   Assignment* assignment_;
-  EmitFn emit_;
+  const EmitFn* emit_;  // the final emit; see Routed
   gens::LeafChooser chooser_;
 };
 
@@ -154,7 +169,6 @@ void Executor::PeelIsland(std::vector<LiveRel> rels, query::EdgeId island,
   std::vector<LiveRel> rest = rels;
   rest.erase(rest.begin() + island);
 
-  extmem::FileReader reader(lr.rel.range());
   // An island shares no live attribute with the rest: every chunk tuple
   // combines with every emitted result (line 8–9).
   const auto process = [&](const MemChunk& part) {
@@ -165,21 +179,7 @@ void Executor::PeelIsland(std::vector<LiveRel> rels, query::EdgeId island,
       }
     });
   };
-  while (!reader.Done()) {
-    // Re-polled per chunk: a budget shrink lands here as a smaller load.
-    const TupleCount cap = dev_->DegradedChunkCap(dev_->M());
-    MemChunk chunk;
-    auto trip = extmem::BudgetTripOf([&] {
-      static_cast<void>(
-          storage::LoadChunk(reader, lr.rel.schema(), dev_, cap, &chunk));
-    });
-    if (trip.has_value() && chunk.empty()) {
-      extmem::ThrowStatus(*std::move(trip));
-    }
-    if (!chunk.empty()) {
-      storage::ProcessChunkWithReplan(dev_, &chunk, lr.rel.schema(), process);
-    }
-  }
+  ProcessInChunks(lr.rel, dev_->M(), *emit_, Routed(process));
 }
 
 void Executor::PeelLeaf(std::vector<LiveRel> rels,
@@ -222,7 +222,6 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
       rest.push_back(std::move(lr));
     }
 
-    extmem::FileReader reader(cur.group().range());
     // Every chunk tuple has value a on v, as does every recursive
     // result, so all combinations match (lines 18–19).
     const auto process = [&](const MemChunk& part) {
@@ -233,25 +232,10 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
         }
       });
     };
-    while (!reader.Done()) {
-      const TupleCount cap = dev_->DegradedChunkCap(m);
-      MemChunk chunk;
-      auto trip = extmem::BudgetTripOf([&] {
-        static_cast<void>(
-            storage::LoadChunk(reader, leaf.rel.schema(), dev_, cap, &chunk));
-      });
-      if (trip.has_value() && chunk.empty()) {
-        extmem::ThrowStatus(*std::move(trip));
-      }
-      if (!chunk.empty()) {
-        storage::ProcessChunkWithReplan(dev_, &chunk, leaf.rel.schema(),
-                                        process);
-      }
-    }
+    ProcessInChunks(cur.group(), m, *emit_, Routed(process));
   }
 
   // --- Light values (lines 21–27). ---
-  MemChunk chunk(leaf.rel.schema(), dev_);
   const auto process = [&](const MemChunk& part) {
     span.Count("light_chunks", 1);
     if (metrics::Registry* reg = dev_->metrics()) [[unlikely]] {
@@ -281,30 +265,7 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
       });
     });
   };
-  auto flush = [&] {
-    if (chunk.empty()) return;
-    storage::ProcessChunkWithReplan(dev_, &chunk, leaf.rel.schema(), process);
-    chunk.Clear();
-  };
-
-  for (storage::GroupCursor cur(leaf.rel, v); !cur.Done(); cur.Advance()) {
-    const Relation group = cur.group();
-    if (group.size() >= m) continue;  // heavy: already handled
-    extmem::FileReader reader(group.range());
-    while (!reader.Done()) {
-      auto trip = extmem::BudgetTripOf(
-          [&] { chunk.AppendBlock(reader.NextBlock()); });
-      if (trip.has_value()) {
-        // The block's tuples landed in the chunk before the reservation
-        // check tripped — drain it and keep accumulating.
-        if (chunk.empty()) extmem::ThrowStatus(*std::move(trip));
-        flush();
-      }
-    }
-    // Re-polled per group: a shrink lands here as an earlier flush.
-    if (chunk.size() >= dev_->DegradedChunkCap(m)) flush();
-  }
-  flush();
+  ProcessLightGroups(leaf.rel, v, m, *emit_, Routed(process));
 }
 
 }  // namespace
@@ -313,15 +274,10 @@ void AcyclicJoinUnderAssignment(const std::vector<storage::Relation>& rels,
                                 Assignment* assignment, const EmitFn& emit,
                                 const gens::LeafChooser& chooser) {
   if (rels.empty()) return;
-  extmem::Device* dev = rels.front().device();
-  // Executor-level watermark: budget-replan re-runs re-derive their
-  // pre-trip prefix; the journal suppresses the duplicates. Fault-free
-  // unguarded runs alias `emit` directly (zero overhead).
-  GuardedEmit guarded(dev, emit);
   std::vector<LiveRel> live;
   live.reserve(rels.size());
   for (const Relation& r : rels) live.push_back({r, r.schema()});
-  Executor exec(dev, assignment, guarded.fn(), chooser);
+  Executor exec(rels.front().device(), assignment, emit, chooser);
   exec.Run(std::move(live));
 }
 

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <utility>
 
+#include "extmem/fault_injector.h"
+#include "extmem/status.h"
+#include "trace/tracer.h"
+
 namespace emjoin::core {
 
 namespace {
@@ -17,6 +21,14 @@ std::uint64_t FnvMix(std::uint64_t h, std::uint64_t v) {
   }
   return h;
 }
+
+// True when a budget trip can interrupt work on `dev`: its gauge already
+// enforces a limit, or its injector schedules shrinks that will.
+bool CanTripBudget(const extmem::Device& dev) {
+  if (dev.gauge().enforcing()) return true;
+  const extmem::FaultInjector* injector = dev.fault_injector();
+  return injector != nullptr && injector->config().SchedulesShrink();
+}
 }  // namespace
 
 std::uint64_t EmitJournal::HashRow(std::span<const Value> row) {
@@ -26,11 +38,11 @@ std::uint64_t EmitJournal::HashRow(std::span<const Value> row) {
 }
 
 std::uint64_t EmitJournal::FindRow(std::span<const Value> row) const {
-  const auto it = index_.find(HashRow(row));
-  if (it == index_.end()) return rows_;
-  for (const std::uint32_t idx : it->second) {
-    const Value* stored = data_.data() + static_cast<std::size_t>(idx) * width_;
-    if (std::equal(row.begin(), row.end(), stored)) return idx;
+  const auto [first, last] = index_.equal_range(HashRow(row));
+  for (auto it = first; it != last; ++it) {
+    const Value* stored =
+        data_.data() + static_cast<std::size_t>(it->second) * width_;
+    if (std::equal(row.begin(), row.end(), stored)) return it->second;
   }
   return rows_;
 }
@@ -39,16 +51,10 @@ bool EmitJournal::Record(std::span<const Value> row) {
   if (rows_ == 0 && width_ == 0) width_ = static_cast<std::uint32_t>(row.size());
   assert(row.size() == width_);
   if (FindRow(row) != rows_) return false;
-  index_[HashRow(row)].push_back(static_cast<std::uint32_t>(rows_));
+  index_.emplace(HashRow(row), rows_);
   data_.insert(data_.end(), row.begin(), row.end());
   ++rows_;
   return true;
-}
-
-bool EmitJournal::Contains(std::span<const Value> row) const {
-  if (rows_ == 0) return false;
-  if (row.size() != width_) return false;
-  return FindRow(row) != rows_;
 }
 
 std::uint64_t EmitJournal::hash() const {
@@ -66,14 +72,6 @@ void EmitJournal::ReplayInto(const EmitFn& emit) const {
   }
 }
 
-void EmitJournal::MergeFrom(const EmitJournal& other) {
-  for (std::uint64_t i = 0; i < other.rows_; ++i) {
-    static_cast<void>(Record(std::span<const Value>(
-        other.data_.data() + static_cast<std::size_t>(i) * other.width_,
-        other.width_)));
-  }
-}
-
 void EmitJournal::Restore(std::uint32_t width, std::vector<Value> data) {
   assert(width == 0 || data.size() % width == 0);
   width_ = width;
@@ -83,7 +81,7 @@ void EmitJournal::Restore(std::uint32_t width, std::vector<Value> data) {
   for (std::uint64_t i = 0; i < rows_; ++i) {
     const std::span<const Value> row(
         data_.data() + static_cast<std::size_t>(i) * width_, width_);
-    index_[HashRow(row)].push_back(static_cast<std::uint32_t>(i));
+    index_.emplace(HashRow(row), i);
   }
 }
 
@@ -91,6 +89,98 @@ EmitFn JournaledEmit(EmitJournal* journal, EmitFn sink) {
   return [journal, sink = std::move(sink)](std::span<const Value> row) {
     if (journal->Record(row)) sink(row);
   };
+}
+
+void ProcessChunkWithReplan(extmem::Device* dev, storage::MemChunk* chunk,
+                            const EmitFn& emit, const ChunkBody& body) {
+  if (!CanTripBudget(*dev)) {
+    body(*chunk, emit);
+    return;
+  }
+  // The rows of this chunk in flight. A trip re-derives them in the
+  // sub-chunks below, which emit through the same journal; it is freed
+  // when this call returns, i.e. when the chunk commits.
+  EmitJournal journal;
+  const EmitFn journaled = JournaledEmit(&journal, emit);
+  auto trip = extmem::BudgetTripOf([&] { body(*chunk, journaled); });
+  if (!trip.has_value()) return;
+  const TupleCount total = chunk->size();
+  if (total <= 1) {
+    // Even a single tuple's processing overruns the budget: the limit is
+    // below the operator's hard floor. Nothing left to halve — terminal.
+    extmem::ThrowStatus(*std::move(trip));
+  }
+  trace::Count(dev, "budget_replans", 1);
+
+  // Rework after a caught trip is recovery I/O: spill the chunk so its
+  // residency can be released, then re-read and re-process it in halved
+  // sub-chunks. (The nested operator work keeps its own tags — only the
+  // spill/re-read bookkeeping lands on "recovery".)
+  const storage::Schema schema = chunk->schema();
+  extmem::ScopedIoTag tag(dev, "recovery");
+  extmem::FilePtr scratch = dev->NewFile(schema.arity());
+  {
+    extmem::FileWriter writer(scratch);
+    writer.AppendBlock(chunk->data());
+    writer.Finish();
+  }
+  chunk->Clear();
+
+  // Halved sub-chunks, each re-polling the budget: further shrinks land
+  // between them.
+  ProcessInChunks(storage::Relation(schema, extmem::FileRange(scratch)),
+                  total / 2, journaled, body);
+}
+
+void ProcessInChunks(const storage::Relation& rel, TupleCount max_tuples,
+                     const EmitFn& emit, const ChunkBody& body) {
+  extmem::Device* dev = rel.device();
+  extmem::FileReader reader(rel.range());
+  while (!reader.Done()) {
+    const TupleCount cap = dev->DegradedChunkCap(max_tuples);
+    storage::MemChunk chunk;
+    auto trip = extmem::BudgetTripOf([&] {
+      static_cast<void>(
+          storage::LoadChunk(reader, rel.schema(), dev, cap, &chunk));
+    });
+    if (trip.has_value() && chunk.empty()) {
+      extmem::ThrowStatus(*std::move(trip));
+    }
+    // A trip mid-load leaves the chunk holding exactly the tuples
+    // consumed from the reader so far — process them; nothing is lost or
+    // doubled.
+    if (!chunk.empty()) ProcessChunkWithReplan(dev, &chunk, emit, body);
+  }
+}
+
+void ProcessLightGroups(const storage::Relation& rel, storage::AttrId a,
+                        TupleCount heavy, const EmitFn& emit,
+                        const ChunkBody& body) {
+  extmem::Device* dev = rel.device();
+  storage::MemChunk chunk(rel.schema(), dev);
+  const auto flush = [&] {
+    if (chunk.empty()) return;
+    ProcessChunkWithReplan(dev, &chunk, emit, body);
+    chunk.Clear();
+  };
+  for (storage::GroupCursor cur(rel, a); !cur.Done(); cur.Advance()) {
+    const storage::Relation group = cur.group();
+    if (group.size() >= heavy) continue;
+    extmem::FileReader reader(group.range());
+    while (!reader.Done()) {
+      auto trip = extmem::BudgetTripOf(
+          [&] { chunk.AppendBlock(reader.NextBlock()); });
+      if (trip.has_value()) {
+        // The block's tuples landed in the chunk before the reservation
+        // check tripped — drain it and keep accumulating.
+        if (chunk.empty()) extmem::ThrowStatus(*std::move(trip));
+        flush();
+      }
+    }
+    // Re-polled per group: a shrink lands here as an earlier flush.
+    if (chunk.size() >= dev->DegradedChunkCap(heavy)) flush();
+  }
+  flush();
 }
 
 ResultSchema MakeResultSchema(const std::vector<storage::Relation>& rels) {

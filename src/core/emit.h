@@ -81,21 +81,24 @@ class CountingSink {
   std::uint64_t count_ = 0;
 };
 
-/// Ordered, deduplicating journal of emitted result rows — the *output
-/// watermark* of the recovery layer (ROADMAP item 4). Operators under
-/// fault injection (or an enforced budget) route their EmitFn through
-/// JournaledEmit(journal, sink): a row reaching the journal for the
-/// first time is recorded and forwarded; a row already journaled is
-/// suppressed. Because set-semantics joins emit DISTINCT rows, every
-/// duplicate arriving here is by construction a *replay artifact* — a
-/// budget-shrink re-plan re-deriving rows it already delivered, or a
-/// resumed query re-running a phase an earlier attempt completed — so
-/// suppression restores exactly the uninterrupted output, bit-identically
-/// and in first-emission order.
+/// Ordered, deduplicating journal of emitted result rows. Routing an
+/// EmitFn through JournaledEmit(journal, sink) forwards a row the first
+/// time it reaches the journal and suppresses it after that. Because
+/// set-semantics joins emit DISTINCT rows, a duplicate arriving here is a
+/// *replay artifact*: a budget-shrink re-plan re-deriving rows it already
+/// delivered, or a resumed query re-running work an earlier attempt
+/// completed. Suppression restores exactly the uninterrupted output, in
+/// first-emission order.
+///
+/// Two places keep one. ProcessChunkWithReplan journals the rows of a
+/// chunk in flight while a trip can re-derive them, and frees the journal
+/// when the chunk commits. QueryManifest (src/recover/) keeps the *output
+/// watermark*, every row a query delivered, across attempts; it persists
+/// and reloads it.
 ///
 /// The journal is host-side state (like tracer buffers and the metrics
 /// registry): it charges no device I/O, so fault-free golden counts are
-/// untouched. QueryManifest (src/recover/) persists and reloads it.
+/// untouched.
 class EmitJournal {
  public:
   EmitJournal() = default;
@@ -103,9 +106,6 @@ class EmitJournal {
   /// Records `row`. Returns true when the row is new (caller should
   /// forward it), false when it was journaled before (replay artifact).
   bool Record(std::span<const Value> row);
-
-  /// True when `row` is already journaled, without recording it.
-  bool Contains(std::span<const Value> row) const;
 
   std::uint64_t rows() const { return rows_; }
   std::uint32_t width() const { return width_; }
@@ -119,13 +119,6 @@ class EmitJournal {
   /// A resumed query calls this before running anything: the downstream
   /// sink sees the pre-crash prefix exactly as the first run produced it.
   void ReplayInto(const EmitFn& emit) const;
-
-  /// Folds `other`'s rows into this journal, preserving `other`'s
-  /// first-emission order for rows this journal has not seen (the same
-  /// discipline as metrics::Registry::MergeFrom: the receiver keeps its
-  /// own prefix, the donor appends). Used to merge per-shard journals in
-  /// shard order.
-  void MergeFrom(const EmitJournal& other);
 
   /// Serialization surface for QueryManifest: the flat row store in
   /// first-emission order.
@@ -142,10 +135,10 @@ class EmitJournal {
   std::uint32_t width_ = 0;  // values per row; fixed by the first Record
   std::uint64_t rows_ = 0;
   std::vector<Value> data_;  // rows_ * width_ values, first-emission order
-  // Hash -> indices of rows with that hash (collision chain). Keyed by
-  // value, never by pointer, and iteration order is never observed —
-  // fine under the determinism lint rule.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
+  // Row hash -> index of a row with that hash, one entry per row.
+  // Keyed by value, never by pointer, and iteration order is never
+  // observed — fine under the determinism lint rule.
+  std::unordered_multimap<std::uint64_t, std::uint64_t> index_;
 };
 
 /// Wraps `sink` so rows are journaled in `journal` and duplicates are
@@ -153,33 +146,48 @@ class EmitJournal {
 /// EmitFn.
 EmitFn JournaledEmit(EmitJournal* journal, EmitFn sink);
 
-/// True when this run can trip the budget and replay work (a fault
-/// injector is attached, or the gauge enforces a limit): only then do
-/// operators pay for an EmitJournal. Fault-free unguarded runs keep the
-/// zero-overhead emit path — and their golden I/O counts — untouched.
-inline bool NeedsEmitGuard(extmem::Device* dev) {
-  return dev->fault_injector() != nullptr || dev->gauge().enforcing();
-}
+/// One chunk's work: processes `chunk`, emitting every result through
+/// `emit`.
+using ChunkBody =
+    std::function<void(const storage::MemChunk& chunk, const EmitFn& emit)>;
 
-/// Scoped emit guard: wraps `emit` through a local journal when
-/// NeedsEmitGuard(dev), otherwise aliases `emit` directly. Operators
-/// construct one at entry and emit through `fn()`.
-class GuardedEmit {
- public:
-  GuardedEmit(extmem::Device* dev, const EmitFn& emit) : fn_(&emit) {
-    if (NeedsEmitGuard(dev)) {
-      journaled_ = JournaledEmit(&journal_, emit);
-      fn_ = &journaled_;
-    }
-  }
+/// Runs `body(*chunk, ...)` with budget-shrink re-planning: a
+/// kBudgetExceeded trip inside `body` is not terminal — the chunk is
+/// spilled to scratch (its residency released), then re-loaded and
+/// re-processed in halved sub-chunks, recursively, until the work fits
+/// the shrunken budget or a single tuple still trips (then the original
+/// status unwinds — the budget is below the operator's hard floor).
+///
+/// This is the one place that re-derives rows within a run, and so the
+/// one in-run exactly-once guard. When `dev` cannot trip a budget (its
+/// gauge does not enforce a limit and no injector schedules a shrink),
+/// `body` receives `emit` itself and nothing is journaled. Otherwise
+/// `body` emits through an EmitJournal of the chunk's rows, which
+/// suppresses what the sub-chunks re-derive and is freed when the chunk
+/// commits. Rows repeated across chunks are not replays and pass.
+///
+/// All spill/re-read rework is charged under the "recovery" tag, so
+/// fault-free golden counts never see it. `body` must be safe to re-run
+/// over sub-ranges of the chunk (true for the chunk-at-a-time operator
+/// bodies: each chunk tuple contributes its results independently).
+void ProcessChunkWithReplan(extmem::Device* dev, storage::MemChunk* chunk,
+                            const EmitFn& emit, const ChunkBody& body);
 
-  const EmitFn& fn() const { return *fn_; }
+/// Streams `rel` through ProcessChunkWithReplan in chunks of at most
+/// DegradedChunkCap(max_tuples) tuples, re-polled per chunk so a budget
+/// shrink lands as a smaller load. A trip mid-load processes the tuples
+/// already loaded; a trip before any tuple loads is terminal.
+void ProcessInChunks(const storage::Relation& rel, TupleCount max_tuples,
+                     const EmitFn& emit, const ChunkBody& body);
 
- private:
-  EmitJournal journal_;
-  EmitFn journaled_;
-  const EmitFn* fn_;
-};
+/// The light-value loop of line3 and of Algorithm 2's leaf peel: packs
+/// the groups of `rel` (sorted by `a`) smaller than `heavy` tuples into
+/// chunks without splitting a group, and processes a chunk through
+/// ProcessChunkWithReplan once it reaches DegradedChunkCap(heavy) tuples
+/// or a block append trips the budget.
+void ProcessLightGroups(const storage::Relation& rel, storage::AttrId a,
+                        TupleCount heavy, const EmitFn& emit,
+                        const ChunkBody& body);
 
 /// Convenience sink that materializes results (tests / small instances).
 class CollectingSink {

@@ -4,7 +4,6 @@
 
 #include "core/pairwise.h"
 #include "core/reduce.h"
-#include "extmem/status.h"
 #include "trace/tracer.h"
 
 namespace emjoin::core {
@@ -31,7 +30,6 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
   const storage::AttrId v3 = SharedAttr(r2_in, r3_in);
   extmem::Device* dev = r1_in.device();
   trace::Span span(dev, "line3");
-  GuardedEmit guarded(dev, emit);
   const TupleCount m = dev->M();
 
   // Lines 1–3: sort R1, R2 by v2; R3 by v3.
@@ -51,16 +49,16 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
     const storage::Relation r2a = r2.EqualRange(v2, a);
     const storage::Relation w = JoinToDisk(r2a, r3);
     // Line 6: R1|v2=a ⋈ W by nested-loop join.
-    BlockNestedLoopJoin(cur.group(), w, assignment, guarded.fn());
+    BlockNestedLoopJoin(cur.group(), w, assignment, emit);
   }
 
   // Lines 8–12: light values, one memory chunk at a time. The chunk body
   // runs through ProcessChunkWithReplan: a budget trip mid-chunk is
   // re-processed in halved sub-chunks (each R1 tuple contributes its
   // results independently, so sub-chunking changes order, never the set;
-  // the GuardedEmit journal suppresses any re-derived prefix).
-  storage::MemChunk chunk(r1.schema(), dev);
-  const auto process = [&](const storage::MemChunk& part) {
+  // the chunk's journal suppresses any re-derived prefix).
+  const auto process = [&](const storage::MemChunk& part,
+                           const EmitFn& chunk_emit) {
     trace::Span light_span(dev, "line3.light");
     light_span.Count("light_chunks", 1);
     const std::vector<Value> vals = part.DistinctValues(r1_v2col);
@@ -74,34 +72,11 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
       const Value val = assignment->ValueOf(v2);
       part.ForEachMatch(r1_v2col, val, [&](storage::TupleRef t) {
         assignment->Bind(r1.schema(), t.data());
-        guarded.fn()(assignment->values());
+        chunk_emit(assignment->values());
       });
     });
   };
-  auto flush = [&] {
-    if (chunk.empty()) return;
-    storage::ProcessChunkWithReplan(dev, &chunk, r1.schema(), process);
-    chunk.Clear();
-  };
-
-  for (storage::GroupCursor cur(r1, v2); !cur.Done(); cur.Advance()) {
-    const storage::Relation group = cur.group();
-    if (group.size() >= m) continue;
-    extmem::FileReader reader(group.range());
-    while (!reader.Done()) {
-      auto trip = extmem::BudgetTripOf(
-          [&] { chunk.AppendBlock(reader.NextBlock()); });
-      if (trip.has_value()) {
-        // The block's tuples are in the chunk (append lands before the
-        // reservation check trips) — drain it and keep accumulating.
-        if (chunk.empty()) extmem::ThrowStatus(*std::move(trip));
-        flush();
-      }
-    }
-    // Re-polled per group: a shrink lands here as an earlier flush.
-    if (chunk.size() >= dev->DegradedChunkCap(m)) flush();
-  }
-  flush();
+  ProcessLightGroups(r1, v2, m, emit, process);
 }
 
 void LineJoin3(const storage::Relation& r1, const storage::Relation& r2,

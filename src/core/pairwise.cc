@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "extmem/status.h"
 #include "trace/tracer.h"
 
 namespace emjoin::core {
@@ -33,37 +32,19 @@ void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
                          Assignment* base, const EmitFn& emit) {
   extmem::Device* dev = outer.device();
   trace::Count(dev, "bnl_joins");
-  GuardedEmit guarded(dev, emit);
-  extmem::FileReader outer_reader(outer.range());
   const std::uint32_t iw = inner.schema().arity();
-  const auto process = [&](const storage::MemChunk& chunk) {
+  const auto process = [&](const storage::MemChunk& chunk,
+                           const EmitFn& chunk_emit) {
     extmem::FileReader inner_reader(inner.range());
     while (!inner_reader.Done()) {
       const std::span<const Value> block = inner_reader.NextBlock();
       for (const Value* t = block.data(); t != block.data() + block.size();
            t += iw) {
-        EmitChunkMatches(chunk, inner.schema(), t, base, guarded.fn());
+        EmitChunkMatches(chunk, inner.schema(), t, base, chunk_emit);
       }
     }
   };
-  while (!outer_reader.Done()) {
-    // Re-polled per chunk: a budget shrink lands here as a smaller load.
-    const TupleCount cap = dev->DegradedChunkCap(dev->M());
-    storage::MemChunk chunk;
-    auto trip = extmem::BudgetTripOf([&] {
-      static_cast<void>(
-          storage::LoadChunk(outer_reader, outer.schema(), dev, cap, &chunk));
-    });
-    if (trip.has_value() && chunk.empty()) {
-      extmem::ThrowStatus(*std::move(trip));
-    }
-    // A trip mid-load leaves the chunk holding exactly the tuples already
-    // consumed from the reader — process the partial chunk; the next loop
-    // iteration continues from the reader's position.
-    if (!chunk.empty()) {
-      storage::ProcessChunkWithReplan(dev, &chunk, outer.schema(), process);
-    }
-  }
+  ProcessInChunks(outer, dev->M(), emit, process);
 }
 
 void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,

@@ -77,9 +77,6 @@ void LineJoinUnbalanced5UnderAssignment(
     const storage::Relation& r3, const storage::Relation& r4,
     const storage::Relation& r5, Assignment* assignment, const EmitFn& emit) {
   trace::Span span(r1.device(), "line5");
-  // Operator-level watermark over the per-key nested loops (each of which
-  // also re-plans internally); fault-free this aliases `emit` directly.
-  GuardedEmit guarded(r1.device(), emit);
   // Line attributes: r3 = {v3, v4}, shared with r2 and r4 respectively.
   const std::vector<storage::AttrId> c23 =
       r2.schema().CommonAttrs(r3.schema());
@@ -117,7 +114,7 @@ void LineJoinUnbalanced5UnderAssignment(
       if (t_t.empty()) continue;
       // Every pair matches (the slices agree on v3, v4, the only shared
       // attributes); S(t) has size ≤ N1, T(t) ≤ N5.
-      BlockNestedLoopJoin(s_t, t_t, assignment, guarded.fn());
+      BlockNestedLoopJoin(s_t, t_t, assignment, emit);
     }
   }
 }

@@ -44,11 +44,8 @@ YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
   }
   const storage::Relation final_rel = acc[tree.roots.front()];
 
-  // Emit phase: one scan of the final result. Guarded: the semijoin and
-  // join passes above re-plan under budget shrinks, and a replayed run
-  // must not double-emit rows the watermark already journaled.
+  // Emit phase: one scan of the final result.
   trace::Span emit_span(rels.front().device(), "yannakakis.emit");
-  GuardedEmit guarded(rels.front().device(), emit);
   std::uint64_t emitted = 0;
   Assignment assignment(MakeResultSchema(rels));
   const std::uint32_t w = final_rel.schema().arity();
@@ -58,7 +55,7 @@ YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
     for (const Value* t = block.data(); t != block.data() + block.size();
          t += w) {
       assignment.Bind(final_rel.schema(), t);
-      guarded.fn()(assignment.values());
+      emit(assignment.values());
       ++emitted;
     }
   }

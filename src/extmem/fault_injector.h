@@ -91,11 +91,15 @@ struct FaultConfig {
   /// retries), simulating a crash mid-query. 0 = disabled.
   std::uint64_t kill_at_ios = 0;
 
+  /// True if any memory-budget shrink is scheduled.
+  bool SchedulesShrink() const {
+    return !shrink_at_ios.empty() || shrink_prob > 0 || shrink_every_poll;
+  }
+
   /// True if any fault source is active.
   bool Active() const {
     return read_fail > 0 || write_fail > 0 || torn_write > 0 ||
-           device_capacity_blocks > 0 || !shrink_at_ios.empty() ||
-           shrink_prob > 0 || shrink_every_poll || kill_at_ios > 0;
+           device_capacity_blocks > 0 || SchedulesShrink() || kill_at_ios > 0;
   }
 };
 

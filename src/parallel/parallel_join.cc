@@ -30,9 +30,10 @@ const char* InternShardName(std::uint32_t shard) {
 }
 
 // One shard's task state: the output rows it buffered (replayed in shard
-// order at the barrier) and its typed outcome. Each worker touches only
-// its own ShardRun and its own shard-local substrate, so the pool needs
-// no synchronization around these.
+// order at the barrier; with a manifest the child journal is the buffer)
+// and its typed outcome. Each worker touches only its own ShardRun and
+// its own shard-local substrate, so the pool needs no synchronization
+// around these.
 struct ShardRun {
   std::vector<Value> buffer;
   std::uint64_t rows = 0;
@@ -185,16 +186,18 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
           emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
           return;
         }
-        const core::EmitFn buffer_emit = [&run](std::span<const Value> row) {
+        // With a manifest, the child journal is the shard's buffer: rows
+        // a prior interrupted attempt already journaled are suppressed
+        // here, and the barrier replays the journal whole.
+        core::EmitFn shard_emit = [&run](std::span<const Value> row) {
           run.buffer.insert(run.buffer.end(), row.begin(), row.end());
           ++run.rows;
         };
-        // With a manifest, the shard journals every buffered row; rows a
-        // prior interrupted attempt already journaled are suppressed
-        // here and recovered from the journal at the barrier instead.
-        core::EmitFn shard_emit = buffer_emit;
         if (child != nullptr) {
-          shard_emit = core::JournaledEmit(&child->journal(), buffer_emit);
+          shard_emit = [journal = &child->journal()](
+                           std::span<const Value> row) {
+            static_cast<void>(journal->Record(row));
+          };
         }
         // TryJoinAuto converts every failure into a Status internally,
         // so no exception crosses the thread boundary.
@@ -220,8 +223,8 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   // only on the inputs and K, never on worker interleaving.
   if (manifest != nullptr) {
     // Replay each shard's journal (prior-attempt rows plus this run's)
-    // through the query-level watermark — the same shard-order fold as
-    // MergeShards(), deduplicated so a re-run never double-emits.
+    // through the query-level watermark, deduplicated so a re-run never
+    // double-emits.
     const core::EmitFn journaled =
         core::JournaledEmit(&manifest->journal(), emit);
     for (std::uint32_t s = 0; s < k; ++s) {

@@ -2,13 +2,11 @@
 #define EMJOIN_RECOVER_MANIFEST_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/emit.h"
-#include "extmem/sorter.h"
 #include "extmem/status.h"
 #include "storage/relation.h"
 
@@ -23,8 +21,7 @@ struct PhaseRecord {
   std::uint64_t rows = 0;  // rows journaled when the phase completed
 };
 
-/// Whole-query checkpoint: composes the sorter's SortManifest (per-sort
-/// run checkpoints) with per-phase progress records and the *output
+/// Whole-query checkpoint: per-phase progress records plus the *output
 /// watermark* — an EmitJournal of every row delivered so far. A query
 /// interrupted at any virtual-I/O tick resumes from its manifest: rows
 /// the first attempt already emitted are deduplicated against the
@@ -33,9 +30,8 @@ struct PhaseRecord {
 /// bit-identical to the uninterrupted run with zero duplicate emits.
 ///
 /// Sharded execution gives every shard its own child manifest
-/// (`Shard(s)`); MergeShards() folds them into the query-level journal
-/// in shard order — the same receiver-keeps-its-prefix discipline as
-/// metrics::Registry::MergeFrom.
+/// (`Shard(s)`); parallel::TryParallelJoinAuto replays the child journals
+/// through the query-level journal in shard order.
 ///
 /// The manifest is host-side state (like the tracer and the registry):
 /// maintaining it charges no device I/O, so fault-free golden counts
@@ -43,10 +39,8 @@ struct PhaseRecord {
 /// the "recovery" tag by the operators themselves.
 ///
 /// Persistence (WriteTo/ReadFrom) covers the fingerprint, phases, and
-/// journals — everything needed to resume across processes. Sort
-/// checkpoints hold live device file handles and are therefore
-/// in-process only; a cross-process resume simply redoes any
-/// interrupted sort (never the journaled output).
+/// journals — everything needed to resume across processes. A resume
+/// redoes any interrupted sort (never the journaled output).
 class QueryManifest {
  public:
   QueryManifest() = default;
@@ -74,10 +68,6 @@ class QueryManifest {
   [[nodiscard]] bool PhaseCompleted(const std::string& name) const;
   const std::vector<PhaseRecord>& phases() const { return phases_; }
 
-  /// Named sort checkpoint, created on first use. In-process only (see
-  /// class comment); not persisted by WriteTo.
-  extmem::SortManifest* SortCheckpoint(const std::string& name);
-
   /// Child manifest for shard `s` (created on first use). Thread
   /// confinement matches the rest of the substrate: each shard's worker
   /// touches only its own child; create all children on the
@@ -87,12 +77,11 @@ class QueryManifest {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// Folds every shard journal into the query-level journal, in shard
-  /// order. Idempotent: already-merged rows deduplicate.
-  void MergeShards();
-
-  /// Folds `other`'s journal and phases into this manifest.
-  void MergeFrom(const QueryManifest& other);
+  /// Frees every journaled row, this manifest's and its shards', and
+  /// keeps the fingerprint and phases. For a completed query whose
+  /// manifest is already persisted (or never will be): writing it
+  /// afterwards would record a completed join with no rows.
+  void ReleaseRows();
 
   /// Persists / restores the manifest as a small text file on the host
   /// filesystem. kNotFound when `path` cannot be opened for reading,
@@ -104,7 +93,6 @@ class QueryManifest {
   std::uint64_t fingerprint_ = 0;
   core::EmitJournal journal_;
   std::vector<PhaseRecord> phases_;
-  std::map<std::string, extmem::SortManifest> sort_checkpoints_;
   std::vector<std::unique_ptr<QueryManifest>> shards_;
 };
 

@@ -22,9 +22,9 @@ extmem::Result<ResumeReport> TryResumableJoinAuto(
   }
 
   // The watermark journal wraps the sink: rows the prior attempt already
-  // delivered are suppressed, new rows are journaled then forwarded. The
-  // operators' own GuardedEmit journals are nested inside this one and
-  // handle intra-run replays; this journal spans attempts.
+  // delivered are suppressed, new rows are journaled then forwarded.
+  // ProcessChunkWithReplan's chunk journals handle replays within a run;
+  // this journal spans attempts.
   std::uint64_t emitted = 0;
   const core::EmitFn journaled = core::JournaledEmit(
       &journal, [&](std::span<const Value> row) {

@@ -130,8 +130,9 @@ bool QuerySession::kill_requested() const {
 void QuerySession::AbsorbAttempt(const metrics::Registry& attempt_registry,
                                  const extmem::IoStats& io,
                                  const extmem::FaultStats& faults,
-                                 std::uint64_t rows,
                                  const extmem::Status& status) {
+  const std::uint64_t rows = manifest_.journal().rows();
+  if (status.ok()) manifest_.ReleaseRows();
   const std::lock_guard<std::mutex> lock(mu_);
   registry_.MergeFrom(attempt_registry);
   io_ += io;

@@ -552,8 +552,16 @@ void Server::RunSession(QuerySession* session) {
   }
   const extmem::Status status =
       report.ok() ? extmem::Status::Ok() : report.status();
-  session->AbsorbAttempt(attempt_registry, io, faults,
-                         session->manifest().journal().rows(), status);
+  if (!options_.manifest_dir.empty()) {
+    // Best-effort persistence after every attempt: this is what makes
+    // a killed query resumable across daemon restarts, not just across
+    // re-submissions to this process. It runs before AbsorbAttempt
+    // releases a completed session's rows, so the file keeps them.
+    const extmem::Status persisted =
+        session->manifest().WriteTo(ManifestPathFor(session->id()));
+    static_cast<void>(persisted);
+  }
+  session->AbsorbAttempt(attempt_registry, io, faults, status);
 
   // A sharded attempt's kill fires in a per-shard injector the
   // orchestrator never sees; the device's kill Status text ("(killed;")
@@ -569,15 +577,6 @@ void Server::RunSession(QuerySession* session) {
     session->set_state(QueryState::kKilled);
   } else {
     session->set_state(QueryState::kFailed);
-  }
-
-  if (!options_.manifest_dir.empty()) {
-    // Best-effort persistence after every attempt: this is what makes
-    // a killed query resumable across daemon restarts, not just across
-    // re-submissions to this process.
-    const extmem::Status persisted =
-        session->manifest().WriteTo(ManifestPathFor(session->id()));
-    static_cast<void>(persisted);
   }
 
   std::vector<QuerySession*> to_launch;

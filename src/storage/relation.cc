@@ -4,9 +4,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "extmem/status.h"
-#include "trace/tracer.h"
-
 namespace emjoin::storage {
 
 Relation Relation::FromTuples(extmem::Device* device, Schema schema,
@@ -166,50 +163,6 @@ bool LoadChunk(extmem::FileReader& reader, const Schema& schema,
     loaded += block.size() / schema.arity();
   }
   return true;
-}
-
-void ProcessChunkWithReplan(
-    extmem::Device* dev, MemChunk* chunk, const Schema& schema,
-    const std::function<void(const MemChunk&)>& process) {
-  auto trip = extmem::BudgetTripOf([&] { process(*chunk); });
-  if (!trip.has_value()) return;
-  const TupleCount total = chunk->size();
-  if (total <= 1) {
-    // Even a single tuple's processing overruns the budget: the limit is
-    // below the operator's hard floor. Nothing left to halve — terminal.
-    extmem::ThrowStatus(*std::move(trip));
-  }
-  trace::Count(dev, "budget_replans", 1);
-
-  // Rework after a caught trip is recovery I/O: spill the chunk so its
-  // residency can be released, then re-read and re-process it in halved
-  // sub-chunks. (The nested operator work keeps its own tags — only the
-  // spill/re-read bookkeeping lands on "recovery".)
-  extmem::ScopedIoTag tag(dev, "recovery");
-  extmem::FilePtr scratch = dev->NewFile(schema.arity());
-  {
-    extmem::FileWriter writer(scratch);
-    writer.AppendBlock(chunk->data());
-    writer.Finish();
-  }
-  chunk->Clear();
-
-  const TupleCount half = total / 2 > 0 ? total / 2 : 1;
-  extmem::FileReader reader{extmem::FileRange(scratch)};
-  while (!reader.Done()) {
-    // Re-polled per sub-chunk: further shrinks land between sub-chunks.
-    TupleCount cap = std::min(half, dev->DegradedChunkCap(half));
-    if (cap < 1) cap = 1;
-    MemChunk sub(schema, dev);
-    auto load_trip = extmem::BudgetTripOf(
-        [&] { static_cast<void>(LoadChunk(reader, schema, dev, cap, &sub)); });
-    if (load_trip.has_value() && sub.empty()) {
-      extmem::ThrowStatus(*std::move(load_trip));
-    }
-    // A trip mid-load leaves `sub` holding exactly the tuples consumed
-    // from the reader so far — process them; nothing is lost or doubled.
-    if (!sub.empty()) ProcessChunkWithReplan(dev, &sub, schema, process);
-  }
 }
 
 bool LoadChunkByValue(extmem::FileReader& reader, const Schema& schema,

@@ -174,25 +174,6 @@ bool LoadChunkByValue(extmem::FileReader& reader, const Schema& schema,
                       extmem::Device* device, std::uint32_t col,
                       TupleCount min_tuples, MemChunk* out);
 
-/// Runs `process(*chunk)` with budget-shrink re-planning: a
-/// kBudgetExceeded trip inside `process` is not terminal — the chunk is
-/// spilled to scratch (its residency released), then re-loaded and
-/// re-processed in halved sub-chunks, recursively, until the work fits
-/// the shrunken budget or a single tuple still trips (then the original
-/// status unwinds — the budget is below the operator's hard floor).
-///
-/// All spill/re-read rework is charged under the "recovery" tag, so
-/// fault-free golden counts never see it (fault-free runs take the
-/// `process` fast path and charge nothing extra). `process` may emit
-/// rows before tripping, so callers that can trip MUST route emission
-/// through an EmitJournal (core/emit.h) to suppress the re-derived
-/// prefix; `process` must otherwise be safe to re-run over sub-ranges
-/// of the chunk (true for the chunk-at-a-time operator bodies: each
-/// chunk tuple contributes its results independently).
-void ProcessChunkWithReplan(
-    extmem::Device* dev, MemChunk* chunk, const Schema& schema,
-    const std::function<void(const MemChunk&)>& process);
-
 }  // namespace emjoin::storage
 
 #endif  // EMJOIN_STORAGE_RELATION_H_

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "extmem/fault_injector.h"
 #include "tests/test_util.h"
 
 namespace emjoin::core {
@@ -85,6 +86,67 @@ TEST(IoTagTest, ScopedTagAttributesCharges) {
   EXPECT_EQ(semi, 1u);
   EXPECT_EQ(dev.stats().total(), 11u);
   EXPECT_NE(dev.TagReport().find("sort=4"), std::string::npos);
+}
+
+// ProcessChunkWithReplan is the one in-run exactly-once guard: a budget
+// trip re-runs the chunk as halved sub-chunks, which re-derive the rows
+// the first attempt emitted before it tripped.
+TEST(ChunkReplanTest, ReDerivedRowsReachTheSinkExactlyOnce) {
+  constexpr TupleCount kTuples = 16;
+  extmem::Device dev(64, 4);
+  dev.gauge().SetEnforcedLimit(40);
+  storage::MemChunk chunk(storage::Schema({1}), &dev);
+  for (Value v = 0; v < kTuples; ++v) chunk.Append(storage::TupleRef(&v, 1));
+
+  std::vector<TupleCount> parts;
+  CollectingSink sink;
+  ProcessChunkWithReplan(
+      &dev, &chunk, sink.AsEmitFn(),
+      [&](const storage::MemChunk& part, const EmitFn& emit) {
+        parts.push_back(part.size());
+        for (TupleCount i = 0; i < part.size(); ++i) emit(part.tuple(i));
+        // Working memory of twice the part, taken after its rows went
+        // out: only the whole chunk overruns the limit (16 + 32 > 40).
+        extmem::MemoryReservation work(&dev.gauge(), 2 * part.size());
+      });
+
+  // The first attempt emitted every row, then tripped; the sub-chunks
+  // re-derived them all, and the sink still saw each row once, in
+  // first-emission order.
+  ASSERT_GE(parts.size(), 3u);
+  EXPECT_EQ(parts.front(), kTuples);
+  for (std::size_t i = 1; i < parts.size(); ++i) EXPECT_LT(parts[i], kTuples);
+  std::vector<std::vector<Value>> expect;
+  for (Value v = 0; v < kTuples; ++v) expect.push_back({v});
+  EXPECT_EQ(sink.results(), expect);
+}
+
+TEST(ChunkReplanTest, DeviceThatCannotTripHandsTheBodyTheCallersEmit) {
+  extmem::Device dev(64, 4);
+  storage::MemChunk chunk(storage::Schema({1}), &dev);
+  const Value v = 7;
+  chunk.Append(storage::TupleRef(&v, 1));
+  const EmitFn emit = [](std::span<const Value>) {};
+  const EmitFn* seen = nullptr;
+  const ChunkBody body = [&](const storage::MemChunk&, const EmitFn& e) {
+    seen = &e;
+  };
+
+  // An idle injector (the daemon's kill switch) schedules no shrink: the
+  // body gets the caller's EmitFn object itself, and nothing is journaled.
+  extmem::FaultInjector idle{extmem::FaultConfig{}};
+  dev.set_fault_injector(&idle);
+  ProcessChunkWithReplan(&dev, &chunk, emit, body);
+  EXPECT_EQ(seen, &emit);
+
+  // A scheduled shrink can trip the budget, even before it fires: the
+  // body emits through the chunk's journal.
+  extmem::FaultConfig shrinking;
+  shrinking.shrink_at_ios = {1'000'000};
+  extmem::FaultInjector armed(shrinking);
+  dev.set_fault_injector(&armed);
+  ProcessChunkWithReplan(&dev, &chunk, emit, body);
+  EXPECT_NE(seen, &emit);
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
@@ -31,7 +33,9 @@
 #include "extmem/device.h"
 #include "metrics/registry.h"
 #include "parallel/worker_pool.h"
+#include "recover/manifest.h"
 #include "serve/admission.h"
+#include "serve/query_session.h"
 #include "serve/query_spec.h"
 #include "serve/server.h"
 #include "storage/csv.h"
@@ -169,6 +173,11 @@ std::vector<std::string> ReadLines(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 std::size_t CountOf(const std::string& text, const std::string& needle) {
@@ -653,6 +662,78 @@ TEST(ServeResume, ShardedKillClassifiesAsKilledAndResumes) {
   std::sort(sorted_expected.begin(), sorted_expected.end());
   EXPECT_EQ(got, sorted_expected);
   server.Stop();
+}
+
+// A completed session keeps its row count, not its rows: the manifest's
+// journals (query level and per shard) are released once the attempt
+// succeeds, while a failed attempt keeps the watermark its resume needs.
+TEST(ServeSession, CompletedSessionKeepsItsRowCountNotItsRows) {
+  serve::QuerySpec spec;
+  spec.id = "done";
+  serve::QuerySession session(std::move(spec), 16);
+  session.manifest().journal().Record(std::vector<Value>{1, 2});
+  session.manifest().journal().Record(std::vector<Value>{3, 4});
+  session.manifest().Shard(0).journal().Record(std::vector<Value>{1, 2});
+  session.manifest().MarkPhase("join");
+  const metrics::Registry attempt;
+
+  session.AbsorbAttempt(attempt, {}, {},
+                        extmem::Status(extmem::StatusCode::kIoError, "x"));
+  EXPECT_EQ(session.manifest().journal().rows(), 2u);
+  EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 1u);
+
+  session.AbsorbAttempt(attempt, {}, {}, extmem::Status::Ok());
+  EXPECT_EQ(session.manifest().journal().rows(), 0u);
+  EXPECT_TRUE(session.manifest().journal().data().empty());
+  EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 0u);
+  EXPECT_TRUE(session.manifest().PhaseCompleted("join"));
+  EXPECT_EQ(session.Snapshot().rows, 2u);
+}
+
+// With ServerOptions::manifest_dir, a completed query's manifest is on
+// disk with every row, and a restarted daemon re-submitted the same id
+// delivers nothing twice: the output file stays byte-identical.
+TEST(ServeResume, PersistedManifestKeepsEveryRowAcrossARestart) {
+  WriteBipartite("serve_md_r1.csv", "serve_md_r2.csv", 24);
+  const std::string dir = testing::TempDir() + "/serve_manifest_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  serve::ServerOptions options;
+  options.manifest_dir = dir;
+  const std::string spec =
+      "id=md\nmemory=512\nblock=8\n"
+      "rel=a,b=serve_md_r1.csv\nrel=b,c=serve_md_r2.csv\n"
+      "output=serve_md.out\n";
+  const auto run_once = [&](const std::string& expect_resumed) {
+    serve::Server server(options);
+    ASSERT_TRUE(server.Start().ok());
+    const std::string accepted =
+        BodyOf(HttpPost(server.port(), "/queries", spec));
+    EXPECT_NE(accepted.find("\"resumed\": " + expect_resumed),
+              std::string::npos)
+        << accepted;
+    ASSERT_TRUE(WaitForState(server.port(), "md", "completed"));
+    server.Stop();
+  };
+
+  run_once("false");
+  const std::vector<std::string> expected =
+      ReferenceRows({{"a,b", "serve_md_r1.csv"}, {"b,c", "serve_md_r2.csv"}},
+                    512, 8, nullptr);
+  EXPECT_EQ(ReadLines("serve_md.out"), expected);
+
+  recover::QueryManifest persisted;
+  ASSERT_TRUE(persisted.ReadFrom(dir + "/md.manifest").ok());
+  EXPECT_TRUE(persisted.PhaseCompleted("join"));
+  std::vector<std::string> journaled;
+  persisted.journal().ReplayInto([&journaled](std::span<const Value> row) {
+    journaled.push_back(FormatRow(row));
+  });
+  EXPECT_EQ(journaled, expected);
+
+  const std::string before = ReadFile("serve_md.out");
+  run_once("true");  // a fresh daemon on the same manifest directory
+  EXPECT_EQ(ReadFile("serve_md.out"), before);
 }
 
 }  // namespace
