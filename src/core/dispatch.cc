@@ -20,25 +20,26 @@ using storage::Relation;
 // combined with the chunk tuples matching on `shared` (the attribute
 // joining `outer` to the inner query). This is the paper's "nested-loop
 // join with R_k as the outer relation and <sub-join> as the inner
-// relation": the inner join re-runs once per outer chunk.
+// relation": the inner join re-runs once per outer chunk. The chunks go
+// through ProcessInChunks, so a budget shrink re-plans them smaller.
 void NestedLoopWrap(const Relation& outer, storage::AttrId shared,
                     Assignment* assignment, const EmitFn& user_emit,
                     const std::function<void(const EmitFn&)>& run_inner) {
   extmem::Device* dev = outer.device();
   trace::Span span(dev, "nested_loop_wrap");
   const std::uint32_t col = *outer.schema().PositionOf(shared);
-  extmem::FileReader reader(outer.range());
-  storage::MemChunk chunk;
-  while (storage::LoadChunk(reader, outer.schema(), dev, dev->M(), &chunk)) {
-    span.Count("nl_chunks", 1);
-    run_inner([&](std::span<const Value>) {
-      const Value val = assignment->ValueOf(shared);
-      chunk.ForEachMatch(col, val, [&](storage::TupleRef t) {
-        assignment->Bind(outer.schema(), t.data());
-        user_emit(assignment->values());
+  ProcessInChunks(
+      outer, dev->M(), user_emit,
+      [&](const storage::MemChunk& chunk, const EmitFn& emit) {
+        span.Count("nl_chunks", 1);
+        run_inner([&](std::span<const Value>) {
+          const Value val = assignment->ValueOf(shared);
+          chunk.ForEachMatch(col, val, [&](storage::TupleRef t) {
+            assignment->Bind(outer.schema(), t.data());
+            emit(assignment->values());
+          });
+        });
       });
-    });
-  }
 }
 
 std::vector<TupleCount> SizesOf(const std::vector<Relation>& rels) {

@@ -20,7 +20,8 @@ struct YannakakisReport {
 /// intermediate result to disk, and finally scan the last intermediate to
 /// emit. Õ((ΣN + Σ|intermediate|)/B) I/Os — instance-optimal when results
 /// must be written out, but worse than Algorithm 2 by up to a factor of M
-/// in the emit model, which is what bench_yannakakis_gap demonstrates.
+/// in the emit model, which is what `emjoin_bench --only=yannakakis_gap`
+/// demonstrates.
 YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
                                 const EmitFn& emit, bool reduce_first = true);
 

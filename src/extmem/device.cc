@@ -42,26 +42,6 @@ std::string Device::TagReport() const {
   return out;
 }
 
-void Device::ChargeReadTuples(TupleCount tuples) {
-  if (tuples == 0) return;
-  if (injector_ != nullptr) [[unlikely]] {
-    FaultyChargeReads(BlocksFor(tuples), /*tagged=*/false);
-    return;
-  }
-  stats_.block_reads += BlocksFor(tuples);
-  NotifyBlocks(BlocksFor(tuples), 0, /*recovery=*/false);
-}
-
-void Device::ChargeWriteTuples(TupleCount tuples) {
-  if (tuples == 0) return;
-  if (injector_ != nullptr) [[unlikely]] {
-    FaultyChargeWrites(BlocksFor(tuples), /*tagged=*/false);
-    return;
-  }
-  stats_.block_writes += BlocksFor(tuples);
-  NotifyBlocks(0, BlocksFor(tuples), /*recovery=*/false);
-}
-
 TupleCount Device::PlanningBudget() {
   if (injector_ != nullptr) [[unlikely]] {
     const FaultConfig& cfg = injector_->config();
@@ -164,7 +144,7 @@ void Device::CheckCapacityForWrite() {
   }
 }
 
-void Device::FaultyChargeReads(std::uint64_t blocks, bool tagged) {
+void Device::FaultyChargeReads(std::uint64_t blocks) {
   for (std::uint64_t b = 0; b < blocks; ++b) {
     if (injector_->NextKill(stats_.total())) [[unlikely]] {
       ThrowKilled("block read");
@@ -195,12 +175,12 @@ void Device::FaultyChargeReads(std::uint64_t blocks, bool tagged) {
     }
     DrainRetryModeChange();
     stats_.block_reads += 1;
-    if (tagged) TagEntry()->block_reads += 1;
+    TagEntry()->block_reads += 1;
     NotifyBlocks(1, 0, /*recovery=*/false);
   }
 }
 
-void Device::FaultyChargeWrites(std::uint64_t blocks, bool tagged) {
+void Device::FaultyChargeWrites(std::uint64_t blocks) {
   for (std::uint64_t b = 0; b < blocks; ++b) {
     if (injector_->NextKill(stats_.total())) [[unlikely]] {
       ThrowKilled("block write");
@@ -231,7 +211,7 @@ void Device::FaultyChargeWrites(std::uint64_t blocks, bool tagged) {
     DrainRetryModeChange();
     CheckCapacityForWrite();
     stats_.block_writes += 1;
-    if (tagged) TagEntry()->block_writes += 1;
+    TagEntry()->block_writes += 1;
     NotifyBlocks(0, 1, /*recovery=*/false);
 
     // Torn landings: the verify read detects the tear, the rewrite

@@ -56,13 +56,9 @@ class Device {
   /// Creates an empty file whose tuples have `width` values each.
   [[nodiscard]] std::shared_ptr<DiskFile> NewFile(std::uint32_t width);
 
-  /// Charges I/Os for a bulk transfer of `tuples` tuples (ceil division).
-  void ChargeReadTuples(TupleCount tuples);
-  void ChargeWriteTuples(TupleCount tuples);
-
   void ChargeReadBlocks(std::uint64_t blocks) {
     if (injector_ != nullptr) [[unlikely]] {
-      FaultyChargeReads(blocks, /*tagged=*/true);
+      FaultyChargeReads(blocks);
       return;
     }
     stats_.block_reads += blocks;
@@ -71,7 +67,7 @@ class Device {
   }
   void ChargeWriteBlocks(std::uint64_t blocks) {
     if (injector_ != nullptr) [[unlikely]] {
-      FaultyChargeWrites(blocks, /*tagged=*/true);
+      FaultyChargeWrites(blocks);
       return;
     }
     stats_.block_writes += blocks;
@@ -187,11 +183,10 @@ class Device {
   }
 
   // Slow-path charge loops used when a fault injector is attached; one
-  // block at a time, with retry/backoff/recovery accounting. `tagged`
-  // mirrors the fast paths: block charges hit the current tag entry,
-  // bulk tuple charges hit totals only.
-  void FaultyChargeReads(std::uint64_t blocks, bool tagged);
-  void FaultyChargeWrites(std::uint64_t blocks, bool tagged);
+  // block at a time, with retry/backoff/recovery accounting. Like the
+  // fast paths, each block lands on the current tag entry.
+  void FaultyChargeReads(std::uint64_t blocks);
+  void FaultyChargeWrites(std::uint64_t blocks);
   void ChargeRecoveryReads(std::uint64_t blocks);
   void ChargeRecoveryWrites(std::uint64_t blocks);
   void CheckCapacityForWrite();

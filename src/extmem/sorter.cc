@@ -224,13 +224,28 @@ void SortRun(std::vector<Value>& buffer, std::vector<Value>& scratch,
   cmp_sort.Sort(buffer.data(), n);
 }
 
-// Reads up to min(M, planning budget) tuples at a time via
-// block-granularity transfers, sorts each load in place, and writes it
-// out as one sorted run per load. The budget is re-polled per block, so
-// a mid-run shrink of the enforced memory budget closes the current run
-// early (more, smaller runs — extra merge passes later) instead of
-// overrunning; the floor is one block per run. Without an enforced
-// budget the cap is exactly M and the charge profile is unchanged.
+// The tuples a sort may plan for: min(M, planning budget). While an
+// injector has shrunk the enforced limit below M, the `held` tuples
+// that enclosing operators (chunks of an outer join) keep resident count
+// against that limit too. Otherwise the plan is exactly as without a
+// limit, so fault-free and enforced-at-M charges do not move.
+TupleCount SortBudget(Device* dev, TupleCount held) {
+  const TupleCount budget = std::min(dev->M(), dev->PlanningBudget());
+  const MemoryGauge& gauge = dev->gauge();
+  if (dev->fault_injector() == nullptr || !gauge.enforcing() ||
+      gauge.limit() >= dev->M()) {
+    return budget;
+  }
+  return budget > held ? budget - held : 0;
+}
+
+// Reads up to SortBudget tuples at a time via block-granularity
+// transfers, sorts each load in place, and writes it out as one sorted
+// run per load. The budget is re-polled per block, so a mid-run shrink
+// of the enforced memory budget closes the current run early (more,
+// smaller runs — extra merge passes later) instead of overrunning; the
+// floor is one block per run. Without an enforced budget the cap is
+// exactly M and the charge profile is unchanged.
 std::vector<FilePtr> FormRuns(const FileRange& input,
                               std::span<const std::uint32_t> key_cols) {
   Device* dev = input.file->device();
@@ -246,15 +261,16 @@ std::vector<FilePtr> FormRuns(const FileRange& input,
 
   while (!reader.Done()) {
     buffer.clear();
+    const TupleCount held = dev->gauge().resident();
     MemoryReservation res(&dev->gauge(), 0);
     TupleCount loaded = 0;
-    TupleCount cap = std::max(std::min(m, dev->PlanningBudget()), b);
+    TupleCount cap = std::max(SortBudget(dev, held), b);
     while (!reader.Done() && loaded < cap) {
       const std::span<const Value> block = reader.NextBlock(cap - loaded);
       buffer.insert(buffer.end(), block.begin(), block.end());
       loaded += block.size() / w;
       res.Resize(loaded);
-      cap = std::max(std::min(m, dev->PlanningBudget()), b);
+      cap = std::max(SortBudget(dev, held), b);
     }
 
     SortRun(buffer, scratch, loaded, w, key_cols);
@@ -810,8 +826,7 @@ FilePtr SortImpl(const FileRange& input,
     // shrunken budget lowers the fan-in (floor 2), trading extra passes
     // — the logarithmic factor the bounds suppress — for staying inside
     // the enforced memory. Fault-free this is exactly max(2, M/B).
-    const TupleCount budget =
-        std::min<TupleCount>(dev->M(), dev->PlanningBudget());
+    const TupleCount budget = SortBudget(dev, dev->gauge().resident());
     std::uint64_t fan_in = std::max<std::uint64_t>(2, budget / dev->B());
     if (dev->gauge().enforcing()) {
       // The merge holds fan_in input blocks plus one output block

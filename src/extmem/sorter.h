@@ -53,7 +53,9 @@ struct SortOptions {
 /// Device::PlanningBudget(), so a mid-run shrink of the enforced memory
 /// budget yields smaller runs / smaller fan-in — i.e. extra merge passes
 /// (the logarithmic factor the bounds suppress) — never a failure, down
-/// to a floor of one block per run and binary fan-in.
+/// to a floor of one block per run and binary fan-in. While an injector
+/// has shrunk the limit below M, the plan also leaves room for the
+/// tuples enclosing operators hold resident.
 ///
 /// @param input     tuples to sort (not modified).
 /// @param key_cols  column indices compared lexicographically, most

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <random>
 
 #include "core/acyclic_join.h"
 #include "core/line3.h"
@@ -14,6 +13,7 @@
 #include "core/unbalanced7.h"
 #include "core/yannakakis.h"
 #include "gens/psi.h"
+#include "query/edge_cover.h"
 #include "query/hypergraph.h"
 #include "storage/relation.h"
 #include "workload/constructions.h"
@@ -38,95 +38,17 @@ void RunAcyclic(const std::vector<Relation>& rels, const core::EmitFn& emit) {
   core::AcyclicJoin(rels, emit);
 }
 
-/// §6.3 hard L5 (same shape as bench_line5_unbalanced): matchings at the
-/// ends, cross products R2/R4, R3 a z1 -> z2 mapping. N1 = N5 = k,
-/// N2 = k*z1, N3 = z1, N4 = z2*k; unbalanced iff z2 > 1.
-std::vector<Relation> HardL5(extmem::Device* dev, TupleCount k, TupleCount z1,
-                             TupleCount z2) {
-  std::vector<Relation> rels;
-  rels.push_back(workload::Matching(dev, 0, 1, k));
-  rels.push_back(workload::CrossProduct(dev, 1, 2, k, z1));
-  rels.push_back(workload::ManyToOne(dev, 2, 3, z1, z2));
-  rels.push_back(workload::CrossProduct(dev, 3, 4, z2, k));
-  rels.push_back(workload::Matching(dev, 4, 5, k));
-  return rels;
-}
-
-/// A.3 unbalanced-middle L7: the hard L5 prefix plus matching tails.
-std::vector<Relation> HardL7(extmem::Device* dev, TupleCount k, TupleCount z1,
-                             TupleCount z2) {
-  std::vector<Relation> rels = HardL5(dev, k, z1, z2);
-  rels.push_back(workload::Matching(dev, 5, 6, k));
-  rels.push_back(workload::Matching(dev, 6, 7, k));
-  return rels;
-}
-
-/// §7.2 lollipop (same shape as bench_lollipop): cross-product core over
-/// {v0,v1}, petal on v0, stick on v1, tail extending the stick.
-std::vector<Relation> LollipopInstance(extmem::Device* dev,
-                                       TupleCount core_dom, TupleCount n) {
-  std::vector<Relation> rels;
-  rels.push_back(workload::CrossProduct(dev, 0, 1, core_dom, core_dom));
-  rels.push_back(workload::OneToMany(dev, 0, 2, n, core_dom));
-  rels.push_back(workload::OneToMany(dev, 1, 3, n, core_dom));
-  rels.push_back(workload::OneToMany(dev, 3, 4, n, n));
-  return rels;
-}
-
-/// §7.3 dumbbell (same shape as bench_dumbbell).
-std::vector<Relation> DumbbellInstance(extmem::Device* dev, TupleCount dl,
-                                       TupleCount dr, TupleCount n) {
-  std::vector<Relation> rels;
-  rels.push_back(workload::CrossProduct(dev, 0, 1, dl, dl));
-  rels.push_back(workload::OneToMany(dev, 0, 2, n, dl));
-  rels.push_back(workload::OneToMany(dev, 1, 3, n, dl));
-  rels.push_back(workload::CrossProduct(dev, 3, 4, dr, dr));
-  rels.push_back(workload::OneToMany(dev, 4, 5, n, dr));
-  return rels;
-}
-
-/// Deterministic random triangle: three dom x dom edge sets of ~dom^2/4
-/// edges each (same construction as bench_triangle_lw, seed fixed).
-std::vector<Relation> RandomTriangle(extmem::Device* dev, TupleCount dom) {
-  std::mt19937_64 rng(17);
-  const TupleCount target = dom * dom / 4;
-  auto edges = [&](storage::AttrId x, storage::AttrId y) {
-    std::vector<storage::Tuple> rows;
-    for (TupleCount i = 0; i < target; ++i) {
-      rows.push_back({rng() % dom, rng() % dom});
-    }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    return Relation::FromTuples(dev, storage::Schema({x, y}), rows);
-  };
-  return {edges(0, 1), edges(0, 2), edges(1, 2)};
-}
-
-/// Deterministic LW_3 instance: each relation misses one of the three
-/// attributes; ~dom^2/2 random tuples each.
-std::vector<Relation> RandomLw3(extmem::Device* dev, TupleCount dom) {
-  std::mt19937_64 rng(300 + dom);
-  std::vector<Relation> rels;
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::vector<storage::AttrId> attrs;
-    for (std::size_t j = 0; j < 3; ++j) {
-      if (j != i) attrs.push_back(static_cast<storage::AttrId>(j));
-    }
-    std::vector<storage::Tuple> rows;
-    for (TupleCount t = 0; t < dom * dom / 2; ++t) {
-      rows.push_back({rng() % dom, rng() % dom});
-    }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    rels.push_back(Relation::FromTuples(dev, storage::Schema(attrs), rows));
-  }
-  return rels;
-}
-
 TupleCount MaxSize(const std::vector<Relation>& rels) {
   TupleCount n = 0;
   for (const Relation& r : rels) n = std::max(n, r.size());
   return n;
+}
+
+// ΣN as a long double (exact: relation sizes stay far below 2^64).
+long double SumSize(const std::vector<Relation>& rels) {
+  TupleCount n = 0;
+  for (const Relation& r : rels) n += r.size();
+  return static_cast<long double>(n);
 }
 
 }  // namespace
@@ -253,9 +175,16 @@ std::vector<CostModel> Table1Models() {
       return workload::StarWorstCase(dev, {n, n, n});
     };
     m.exec = RunAcyclic;
-    m.expected = [](TupleCount n, TupleCount mm, TupleCount bb) {
-      return static_cast<long double>(n) * n * n / (mm * mm * bb) +
-             (3.0L * n + 1) / bb;
+    // rels[0] is the one-tuple core; the rest are the petals.
+    m.expected_instance = [](const std::vector<Relation>& rels,
+                             TupleCount mm, TupleCount bb) {
+      long double petals = 1;
+      TupleCount denom = bb;
+      for (std::size_t i = 1; i < rels.size(); ++i) {
+        petals *= rels[i].size();
+        if (i > 1) denom *= mm;
+      }
+      return petals / denom + SumSize(rels) / bb;
     };
     models.push_back(std::move(m));
   }
@@ -271,7 +200,7 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {16, 32, 64};
     m.m_series_n = 128;
     m.build = [](extmem::Device* dev, TupleCount n) {
-      return LollipopInstance(dev, 4, n);
+      return workload::LollipopInstance(dev, 4, n);
     };
     m.exec = RunAcyclic;
     m.expected_instance = Theorem3Exact;
@@ -289,7 +218,7 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {16, 32, 64};
     m.m_series_n = 128;
     m.build = [](extmem::Device* dev, TupleCount n) {
-      return DumbbellInstance(dev, 4, 4, n);
+      return workload::DumbbellInstance(dev, 4, 4, n);
     };
     m.exec = RunAcyclic;
     m.expected_instance = Theorem3Exact;
@@ -310,9 +239,19 @@ std::vector<CostModel> Table1Models() {
       return workload::EqualSizeWorstCase(dev, query::JoinQuery::Line(5), n);
     };
     m.exec = RunAcyclic;
-    m.expected = [](TupleCount n, TupleCount mm, TupleCount bb) {
-      const long double r = static_cast<long double>(n) / mm;
-      return r * r * r * mm / bb + 5.0L * n / bb;
+    // N is the equal size, c the query's edge-cover number.
+    m.expected_instance = [](const std::vector<Relation>& rels, TupleCount mm,
+                             TupleCount bb) {
+      query::JoinQuery q;
+      for (const Relation& r : rels) q.AddRelation(r.schema(), r.size());
+      const TupleCount n = MaxSize(rels);
+      const long double ratio = static_cast<long double>(n) / mm;
+      long double power = 1;
+      for (std::size_t c = query::GreedyMinEdgeCover(q).size(); c > 0; --c) {
+        power *= ratio;
+      }
+      return power * mm / bb +
+             static_cast<long double>(rels.size()) * n / bb;
     };
     models.push_back(std::move(m));
   }
@@ -328,17 +267,18 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {32, 64, 128};
     m.m_series_n = 128;
     m.build = [](extmem::Device* dev, TupleCount k) {
-      return HardL5(dev, k, 32, 8);
+      return workload::HardL5(dev, k, 32, 8);
     };
     m.exec = [](const std::vector<Relation>& rels, const core::EmitFn& emit) {
       core::LineJoinUnbalanced5(rels[0], rels[1], rels[2], rels[3], rels[4],
                                 emit);
     };
-    m.expected = [](TupleCount k, TupleCount mm, TupleCount bb) {
-      const long double z1 = 32, z2 = 8;
-      return static_cast<long double>(k) * z1 * k / (mm * bb) +
-             2.0L * k * z1 / bb +
-             (2.0L * k + k * z1 + z1 + z2 * k) / bb;
+    m.expected_instance = [](const std::vector<Relation>& rels, TupleCount mm,
+                             TupleCount bb) {
+      const long double n1 = rels[0].size(), n3 = rels[2].size(),
+                        n5 = rels[4].size();
+      return n1 * n3 * n5 / (mm * bb) + (n1 * n3 + n3 * n5) / bb +
+             SumSize(rels) / bb;
     };
     models.push_back(std::move(m));
   }
@@ -355,15 +295,20 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {32, 64, 128};
     m.m_series_n = 64;
     m.build = [](extmem::Device* dev, TupleCount k) {
-      return HardL7(dev, k, 32, 32);
+      return workload::HardL7(dev, k, 32, 32);
     };
     m.exec = [](const std::vector<Relation>& rels, const core::EmitFn& emit) {
       core::LineJoinUnbalanced7(rels, emit);
     };
-    m.expected = [](TupleCount k, TupleCount mm, TupleCount bb) {
-      const long double z1 = 32;
-      return static_cast<long double>(k) * k * k * z1 / (mm * mm * bb) +
-             3.0L * k * z1 / bb + (4.0L * k + z1) / bb;
+    // |S| = N3*N5 on the HardL7 family. The linear term leaves out the
+    // cross-product middles N2 and N4.
+    m.expected_instance = [](const std::vector<Relation>& rels, TupleCount mm,
+                             TupleCount bb) {
+      const long double s =
+          static_cast<long double>(rels[2].size()) * rels[4].size();
+      return rels[0].size() * s * rels[6].size() / (mm * mm * bb) +
+             3.0L * s / bb +
+             (SumSize(rels) - rels[1].size() - rels[3].size()) / bb;
     };
     // The composed pipeline (materialize S, then the general acyclic
     // join over {R1, R2, S, R6, R7}) re-sorts S and the flanking
@@ -408,7 +353,7 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {128, 256, 512};
     m.m_series_n = 128;
     m.build = [](extmem::Device* dev, TupleCount dom) {
-      return RandomTriangle(dev, dom);
+      return workload::RandomTriangle(dev, dom);
     };
     m.exec = [](const std::vector<Relation>& rels, const core::EmitFn& emit) {
       core::TriangleJoin(rels[0], rels[1], rels[2], emit);
@@ -434,15 +379,18 @@ std::vector<CostModel> Table1Models() {
     m.m_series = {128, 256, 512};
     m.m_series_n = 96;
     m.build = [](extmem::Device* dev, TupleCount dom) {
-      return RandomLw3(dev, dom);
+      return workload::RandomLw(dev, 3, dom);
     };
     m.exec = [](const std::vector<Relation>& rels, const core::EmitFn& emit) {
       core::LoomisWhitneyJoin(rels, emit);
     };
+    // LW_n has n = rels.size() relations.
     m.expected_instance = [](const std::vector<Relation>& rels, TupleCount mm,
                              TupleCount bb) {
       const long double n = static_cast<long double>(MaxSize(rels));
-      return std::pow(n / mm, 1.5L) * mm / bb + 3.0L * n / bb;
+      const long double arity = static_cast<long double>(rels.size());
+      return std::pow(n / mm, arity / (arity - 1)) * mm / bb +
+             arity * n / bb;
     };
     models.push_back(std::move(m));
   }
@@ -479,9 +427,7 @@ CostPoint RunPoint(const CostModel& model, TupleCount n, TupleCount m,
   p.n = n;
   p.m = m;
   p.b = b;
-  p.expected = model.expected_instance
-                   ? model.expected_instance(rels, m, b)
-                   : model.expected(n, m, b);
+  p.expected = model.Bound(rels, n, m, b);
   core::CountingSink sink;
   const extmem::IoStats before = dev.stats();
   model.exec(rels, sink.AsEmitFn());
@@ -574,14 +520,6 @@ AuditRow RunAudit(const CostModel& model, const AuditOptions& options) {
   }
   row.pass = row.failures.empty();
   return row;
-}
-
-std::vector<AuditRow> RunAllAudits(const std::vector<CostModel>& models,
-                                   const AuditOptions& options) {
-  std::vector<AuditRow> rows;
-  rows.reserve(models.size());
-  for (const CostModel& m : models) rows.push_back(RunAudit(m, options));
-  return rows;
 }
 
 namespace {

@@ -57,6 +57,14 @@ struct CostModel {
   // Per-model tolerance overrides; <= 0 means the auditor default.
   double slope_tol = 0;
   double max_ratio = 0;
+
+  /// The bound for `rels`, built at scale n, on a device (m, b):
+  /// `expected_instance` when set, else `expected`.
+  long double Bound(const std::vector<storage::Relation>& rels, TupleCount n,
+                    TupleCount m, TupleCount b) const {
+    return expected_instance ? expected_instance(rels, m, b)
+                             : expected(n, m, b);
+  }
 };
 
 /// All audited models: one per Table 1 query class / theorem, plus the
@@ -128,9 +136,6 @@ double FitSlope(const std::vector<std::pair<double, double>>& xy);
 
 /// Runs one model's series on fresh devices and renders the verdict.
 AuditRow RunAudit(const CostModel& model, const AuditOptions& options = {});
-
-std::vector<AuditRow> RunAllAudits(const std::vector<CostModel>& models,
-                                   const AuditOptions& options = {});
 
 /// AUDIT_table1.json: {"schema", "options", "all_pass", "rows": [...]}.
 std::string AuditToJson(const std::vector<AuditRow>& rows,

@@ -35,11 +35,11 @@ struct AuditRow {
 };
 
 /// The observers one process attaches to its devices, configured from
-/// the flags emjoin_cli and the benches share: --trace[=PATH],
+/// the flags emjoin_cli and emjoin_bench share: --trace[=PATH],
 /// --trace-format={tree,jsonl,chrome}, --metrics=PATH,
 /// --metrics-format={json,prom}, --audit=PATH, --export-port=PORT,
 /// --export-linger-ms=MS and --recorder=PATH (docs/OBSERVABILITY.md).
-/// Owned by the entry point (emjoin_cli's main, bench_util.h). Attaching
+/// Owned by the entry point (emjoin_cli's or emjoin_bench's main). Attaching
 /// an observer changes zero charged I/Os (io_invariance pins this).
 class Observers {
  public:

@@ -1,6 +1,8 @@
 #include "workload/constructions.h"
 
+#include <algorithm>
 #include <cassert>
+#include <random>
 
 #include "query/edge_cover.h"
 
@@ -14,6 +16,20 @@ using storage::Tuple;
 Relation Build(extmem::Device* dev, Schema schema,
                const std::vector<Tuple>& tuples) {
   return Relation::FromTuples(dev, std::move(schema), tuples);
+}
+
+// `draws` random tuples over `attrs` with values in [0, dom),
+// deduplicated.
+Relation RandomRelation(extmem::Device* dev, std::vector<AttrId> attrs,
+                        TupleCount draws, TupleCount dom,
+                        std::mt19937_64* rng) {
+  std::vector<Tuple> rows(draws, Tuple(attrs.size()));
+  for (Tuple& row : rows) {
+    for (Value& v : row) v = (*rng)() % dom;
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return Build(dev, Schema(std::move(attrs)), rows);
 }
 
 }  // namespace
@@ -157,6 +173,65 @@ std::vector<Relation> UnbalancedL5(extmem::Device* dev, TupleCount n1,
   rels.push_back(ManyToOne(dev, 2, 3, z[1], z[2]));     // R3: dom(v3)->dom(v4)
   rels.push_back(CrossProduct(dev, 3, 4, z[2], z[3]));  // R4
   rels.push_back(OneToMany(dev, 4, 5, n5, z[3]));       // R5 from dom(v5)
+  return rels;
+}
+
+// The braced lists below build their relations in order: list
+// elements are evaluated left to right.
+std::vector<Relation> HardL5(extmem::Device* dev, TupleCount k, TupleCount z1,
+                             TupleCount z2) {
+  return {Matching(dev, 0, 1, k), CrossProduct(dev, 1, 2, k, z1),
+          ManyToOne(dev, 2, 3, z1, z2), CrossProduct(dev, 3, 4, z2, k),
+          Matching(dev, 4, 5, k)};
+}
+
+std::vector<Relation> HardL7(extmem::Device* dev, TupleCount k, TupleCount z1,
+                             TupleCount z2) {
+  std::vector<Relation> rels = HardL5(dev, k, z1, z2);
+  rels.push_back(Matching(dev, 5, 6, k));
+  rels.push_back(Matching(dev, 6, 7, k));
+  return rels;
+}
+
+std::vector<Relation> LollipopInstance(extmem::Device* dev,
+                                       TupleCount core_dom, TupleCount n) {
+  return {CrossProduct(dev, 0, 1, core_dom, core_dom),
+          OneToMany(dev, 0, 2, n, core_dom), OneToMany(dev, 1, 3, n, core_dom),
+          OneToMany(dev, 3, 4, n, n)};
+}
+
+std::vector<Relation> DumbbellInstance(extmem::Device* dev, TupleCount dl,
+                                       TupleCount dr, TupleCount n) {
+  return {CrossProduct(dev, 0, 1, dl, dl), OneToMany(dev, 0, 2, n, dl),
+          OneToMany(dev, 1, 3, n, dl), CrossProduct(dev, 3, 4, dr, dr),
+          OneToMany(dev, 4, 5, n, dr)};
+}
+
+std::vector<Relation> RandomTriangle(extmem::Device* dev, TupleCount dom) {
+  std::mt19937_64 rng(17);
+  const TupleCount draws = dom * dom / 4;
+  return {RandomRelation(dev, {0, 1}, draws, dom, &rng),
+          RandomRelation(dev, {0, 2}, draws, dom, &rng),
+          RandomRelation(dev, {1, 2}, draws, dom, &rng)};
+}
+
+std::vector<Relation> RandomLw(extmem::Device* dev, std::size_t n,
+                               TupleCount dom) {
+  std::mt19937_64 rng(n * 100 + dom);
+  TupleCount draws = dom * dom / 2;
+  if (n >= 4) {
+    draws = 1;
+    for (std::size_t j = 0; j + 1 < n; ++j) draws *= dom;
+    draws /= 3;
+  }
+  std::vector<Relation> rels;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<AttrId> attrs;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i) attrs.push_back(static_cast<AttrId>(j));
+    }
+    rels.push_back(RandomRelation(dev, std::move(attrs), draws, dom, &rng));
+  }
   return rels;
 }
 

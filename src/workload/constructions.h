@@ -90,6 +90,38 @@ std::vector<Relation> UnbalancedL5(extmem::Device* dev, TupleCount n1,
                                    TupleCount n5,
                                    const std::vector<TupleCount>& z);
 
+/// §6.3 hard L5: matchings of size k at the ends, cross products
+/// R2 = k x z1 and R4 = z2 x k, and R3 a z1 -> z2 mapping. N1 = N5 = k,
+/// N2 = k*z1, N3 = z1, N4 = z2*k; unbalanced (N1N3N5 < N2N4) iff z2 > 1.
+std::vector<Relation> HardL5(extmem::Device* dev, TupleCount k, TupleCount z1,
+                             TupleCount z2);
+
+/// Appendix A.3 unbalanced-middle L7: HardL5 plus matchings e6, e7 of
+/// size k, so condition (b) N1N3N5 < N2N4 breaks for z2 > 1.
+std::vector<Relation> HardL7(extmem::Device* dev, TupleCount k, TupleCount z1,
+                             TupleCount z2);
+
+/// §7.2 lollipop(2): core {v1,v2} is the core_dom x core_dom cross
+/// product (N0 = core_dom^2); petal {v1,u1}, stick {v2,v3} and tail
+/// {v3,u2} are one-to-many mappings of n tuples.
+std::vector<Relation> LollipopInstance(extmem::Device* dev,
+                                       TupleCount core_dom, TupleCount n);
+
+/// §7.3 dumbbell(2,2): left core dl x dl, left petal, shared petal,
+/// right core dr x dr, right petal; the petals have n tuples each.
+std::vector<Relation> DumbbellInstance(extmem::Device* dev, TupleCount dl,
+                                       TupleCount dr, TupleCount n);
+
+/// Random triangle C3: three edge sets of dom^2/4 random (x, y) draws
+/// over dom x dom, deduplicated; fixed seed.
+std::vector<Relation> RandomTriangle(extmem::Device* dev, TupleCount dom);
+
+/// Random Loomis-Whitney LW_n: relation i covers every attribute but
+/// v_i, with dom^2/2 random draws for n = 3 and dom^(n-1)/3 beyond (so
+/// higher arities still join), deduplicated; seeded by (n, dom).
+std::vector<Relation> RandomLw(extmem::Device* dev, std::size_t n,
+                               TupleCount dom);
+
 }  // namespace emjoin::workload
 
 #endif  // EMJOIN_WORKLOAD_CONSTRUCTIONS_H_

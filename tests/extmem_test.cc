@@ -10,18 +10,6 @@
 namespace emjoin::extmem {
 namespace {
 
-TEST(DeviceTest, ChargesCeilOfTuplesOverB) {
-  Device dev(64, 8);
-  dev.ChargeReadTuples(1);
-  EXPECT_EQ(dev.stats().block_reads, 1u);
-  dev.ChargeReadTuples(8);
-  EXPECT_EQ(dev.stats().block_reads, 2u);
-  dev.ChargeReadTuples(9);
-  EXPECT_EQ(dev.stats().block_reads, 4u);
-  dev.ChargeWriteTuples(0);
-  EXPECT_EQ(dev.stats().block_writes, 0u);
-}
-
 TEST(DeviceTest, BlocksFor) {
   Device dev(64, 8);
   EXPECT_EQ(dev.BlocksFor(0), 0u);

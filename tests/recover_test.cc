@@ -476,62 +476,76 @@ TEST(RecoveryMetrics, BackoffHistogramAndModeGaugeExport) {
 // terminal) under an adversarial shrink-at-every-poll to the 4B floor.
 // ---------------------------------------------------------------------
 
-std::uint64_t FaultFreeCount(int family) {
-  extmem::Device dev(256, 16);
-  std::vector<storage::Relation> rels;
+// Families 0-3 are toy L3, star, cross-product L4 and unbalanced L5
+// instances. Family 4 is the cross-product L4 with 4,096 rows, whose
+// sorts run inside two nested light-group chunks. Family 5 is the L7
+// edge-cover case with 20-tuple ends and 40,000 rows, which routes to
+// the double nested loop around Algorithm 4.
+std::vector<storage::Relation> FamilyInstance(extmem::Device* dev,
+                                              int family) {
   switch (family) {
-    case 0: rels = workload::L3WorstCase(&dev, 8, 1, 8); break;
-    case 1: rels = workload::StarWorstCase(&dev, {3, 4}); break;
-    case 2: rels = workload::CrossProductLine(&dev, {1, 4, 1, 4, 1}); break;
-    default: rels = workload::UnbalancedL5(&dev, 4, 4, {2, 12, 8, 2}); break;
+    case 0: return workload::L3WorstCase(dev, 8, 1, 8);
+    case 1: return workload::StarWorstCase(dev, {3, 4});
+    case 2: return workload::CrossProductLine(dev, {1, 4, 1, 4, 1});
+    case 3: return workload::UnbalancedL5(dev, 4, 4, {2, 12, 8, 2});
+    case 4: return workload::CrossProductLine(dev, {1, 64, 1, 64, 1});
+    default:
+      return {workload::ManyToOne(dev, 0, 1, 20, 2),
+              workload::Matching(dev, 1, 2, 2),
+              workload::CrossProduct(dev, 2, 3, 2, 100),
+              workload::Matching(dev, 3, 4, 100),
+              workload::CrossProduct(dev, 4, 5, 100, 2),
+              workload::Matching(dev, 5, 6, 2),
+              workload::OneToMany(dev, 6, 7, 20, 2)};
   }
+}
+
+struct FamilyRun {
+  extmem::Status status;
+  std::uint64_t rows = 0;
+  std::string algorithm;
+};
+
+// Joins family `family` on `dev`: the star through Yannakakis, the rest
+// through the dispatcher.
+FamilyRun RunFamily(extmem::Device* dev, int family) {
+  const std::vector<storage::Relation> rels = FamilyInstance(dev, family);
   CountingSink sink;
-  extmem::Status st;
+  FamilyRun run;
   if (family == 1) {
     if (const auto r = core::TryYannakakisJoin(rels, sink.AsEmitFn()); !r.ok())
-      st = r.status();
+      run.status = r.status();
+  } else if (const auto r = core::TryJoinAuto(rels, sink.AsEmitFn());
+             r.ok()) {
+    run.algorithm = r->algorithm;
   } else {
-    if (const auto r = core::TryJoinAuto(rels, sink.AsEmitFn()); !r.ok())
-      st = r.status();
+    run.status = r.status();
   }
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  return sink.count();
+  run.rows = sink.count();
+  return run;
 }
 
 TEST(BudgetDegradation, OperatorFamiliesCompleteAtTheFloor) {
-  for (int family = 0; family < 4; ++family) {
-    const std::uint64_t expect = FaultFreeCount(family);
+  for (int family = 0; family < 6; ++family) {
+    extmem::Device plain(256, 16);
+    const FamilyRun expect = RunFamily(&plain, family);
+    ASSERT_TRUE(expect.status.ok()) << expect.status.ToString();
 
     extmem::Device dev(256, 16);
-    std::vector<storage::Relation> rels;
-    switch (family) {
-      case 0: rels = workload::L3WorstCase(&dev, 8, 1, 8); break;
-      case 1: rels = workload::StarWorstCase(&dev, {3, 4}); break;
-      case 2: rels = workload::CrossProductLine(&dev, {1, 4, 1, 4, 1}); break;
-      default:
-        rels = workload::UnbalancedL5(&dev, 4, 4, {2, 12, 8, 2});
-        break;
-    }
-
     FaultConfig config;
     config.shrink_every_poll = true;  // adversarial: straight to the floor
     FaultInjector injector(config);
     dev.set_fault_injector(&injector);
 
-    CountingSink sink;
-    extmem::Status st;
-    if (family == 1) {
-      if (const auto r = core::TryYannakakisJoin(rels, sink.AsEmitFn());
-          !r.ok())
-        st = r.status();
-    } else {
-      if (const auto r = core::TryJoinAuto(rels, sink.AsEmitFn()); !r.ok())
-        st = r.status();
-    }
-    ASSERT_TRUE(st.ok()) << "family " << family << ": " << st.ToString();
-    EXPECT_EQ(sink.count(), expect) << "family " << family;
+    const FamilyRun run = RunFamily(&dev, family);
+    ASSERT_TRUE(run.status.ok())
+        << "family " << family << ": " << run.status.ToString();
+    EXPECT_EQ(run.rows, expect.rows) << "family " << family;
+    EXPECT_EQ(run.algorithm, expect.algorithm) << "family " << family;
     EXPECT_GT(injector.stats().shrinks, 0u) << "family " << family;
   }
+  extmem::Device dev(256, 16);
+  EXPECT_EQ(RunFamily(&dev, 5).algorithm, "L7=NL(R1,R7, Alg4)");
 }
 
 }  // namespace

@@ -174,8 +174,6 @@ TEST(DeviceFaultTest, ZeroConfigInjectorChargesNothingExtra) {
   for (extmem::Device* dev : {&plain, &faulty}) {
     dev->ChargeReadBlocks(10);
     dev->ChargeWriteBlocks(5);
-    dev->ChargeReadTuples(100);
-    dev->ChargeWriteTuples(33);
     EXPECT_EQ(dev->PlanningBudget(), 256u);
   }
   EXPECT_EQ(plain.stats().block_reads, faulty.stats().block_reads);

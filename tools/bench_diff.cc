@@ -1,11 +1,13 @@
 // bench_diff: the bench/audit regression gate.
 //
-// Compares fresh BENCH_*.json (bench::Reporter output) and
+// Compares fresh BENCH_*.json (emjoin_bench output) and
 // AUDIT_table1.json (emjoin_audit output) files against committed
-// baselines under bench/baselines/. I/O counts, result counts, per-tag
-// breakdowns and audit verdicts must match the baseline exactly — the
-// simulator is deterministic, so any drift is a real behavior change —
-// while wall-clock gets a tolerance band (noisy CI machines).
+// baselines under bench/baselines/. Bench records pair by their key
+// (bench, M, B, n), which must be unique within each file. I/O counts,
+// result counts, per-tag breakdowns and audit verdicts must match the
+// baseline exactly — the simulator is deterministic, so any drift is a
+// real behavior change — while wall-clock gets a tolerance band (noisy
+// CI machines).
 //
 // Usage:
 //   bench_diff --baseline=DIR [--wall-tol=F] [--no-wall] FRESH.json...
@@ -310,22 +312,26 @@ void CompareBenchFile(const std::string& file, const Json& base,
     Fail(file, "missing 'benches' array");
     return;
   }
-  // Duplicate keys (a bench measured twice at one config) pair up by
-  // occurrence order.
-  std::map<std::string, std::vector<const Json*>> fresh_by_key;
-  for (const Json& rec : frecs->arr) {
-    fresh_by_key[RecordKey(rec)].push_back(&rec);
-  }
-  std::map<std::string, std::size_t> used;
-  for (const Json& rec : brecs->arr) {
-    const std::string key = RecordKey(rec);
+  // Records pair by key; a key that names two records in one file
+  // cannot be paired, so it fails the gate.
+  const auto index = [&](const Json& recs, const char* which) {
+    std::map<std::string, const Json*> by_key;
+    for (const Json& rec : recs.arr) {
+      const std::string key = RecordKey(rec);
+      if (!by_key.emplace(key, &rec).second) {
+        Fail(file, key + ": repeated key in the " + which);
+      }
+    }
+    return by_key;
+  };
+  const auto fresh_by_key = index(*frecs, "fresh run");
+  for (const auto& [key, rec] : index(*brecs, "baseline")) {
     const auto it = fresh_by_key.find(key);
-    const std::size_t idx = used[key]++;
-    if (it == fresh_by_key.end() || idx >= it->second.size()) {
+    if (it == fresh_by_key.end()) {
       Fail(file, key + ": record missing from fresh run");
       continue;
     }
-    CompareBenchRecord(file, key, rec, *it->second[idx], opt);
+    CompareBenchRecord(file, key, *rec, *it->second, opt);
   }
 }
 

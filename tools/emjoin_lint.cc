@@ -379,9 +379,8 @@ void AddFinding(std::vector<Finding>* out, const FileModel& m,
 // approximation of "the enclosing function or class".
 void CheckTagDiscipline(const FileModel& m, std::vector<Finding>* out) {
   if (!InTagScope(m.path)) return;
-  static constexpr std::string_view kCharges[] = {
-      "ChargeReadTuples", "ChargeWriteTuples", "ChargeReadBlocks",
-      "ChargeWriteBlocks"};
+  static constexpr std::string_view kCharges[] = {"ChargeReadBlocks",
+                                                   "ChargeWriteBlocks"};
   for (std::size_t i = 0; i < m.code.size(); ++i) {
     const std::string& line = m.code[i];
     for (std::string_view name : kCharges) {
@@ -389,7 +388,7 @@ void CheckTagDiscipline(const FileModel& m, std::vector<Finding>* out) {
       if (pos == std::string_view::npos) continue;
       if (!CalledWithParen(line, pos, name.size())) continue;
       // Skip the declaration/definition of the charge method itself
-      // ("void ChargeReadBlocks(..." / "void Device::ChargeReadTuples(").
+      // ("void ChargeReadBlocks(...").
       if (FindToken(line.substr(0, pos), "void") != std::string_view::npos) {
         continue;
       }
@@ -647,9 +646,8 @@ void CheckThreadDiscipline(const FileModel& m, std::vector<Finding>* out) {
 // are blanked in the lexical model).
 void CheckRecoveryTag(const FileModel& m, std::vector<Finding>* out) {
   if (!Under(m.path, "src/recover/")) return;
-  static constexpr std::string_view kCharges[] = {
-      "ChargeReadTuples", "ChargeWriteTuples", "ChargeReadBlocks",
-      "ChargeWriteBlocks"};
+  static constexpr std::string_view kCharges[] = {"ChargeReadBlocks",
+                                                   "ChargeWriteBlocks"};
   for (std::size_t i = 0; i < m.code.size(); ++i) {
     const std::string& line = m.code[i];
     for (std::string_view name : kCharges) {
