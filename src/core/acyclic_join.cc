@@ -47,11 +47,6 @@ class Executor {
     return q;
   }
 
-  // Binds a physical tuple into the shared assignment.
-  void Bind(const Schema& phys, const Value* t) {
-    assignment_->Bind(phys, t);
-  }
-
   // A chunk body for ProcessChunkWithReplan: while `body` runs, the
   // final emit goes through the emit the chunk's guard hands it; the
   // previous one is restored on return and on unwind.
@@ -92,12 +87,13 @@ void Executor::Rec(std::vector<LiveRel> rels,
   if (rels.size() == 1) {
     const LiveRel& lr = rels.front();
     const std::uint32_t w = lr.rel.schema().arity();
+    const BindMap bind = assignment_->MapOf(lr.rel.schema());
     extmem::FileReader reader(lr.rel.range());
     while (!reader.Done()) {
       const std::span<const Value> block = reader.NextBlock();
       for (const Value* t = block.data(); t != block.data() + block.size();
            t += w) {
-        Bind(lr.rel.schema(), t);
+        assignment_->Bind(bind, t);
         on_result();
       }
     }
@@ -171,10 +167,11 @@ void Executor::PeelIsland(std::vector<LiveRel> rels, query::EdgeId island,
 
   // An island shares no live attribute with the rest: every chunk tuple
   // combines with every emitted result (line 8–9).
+  const BindMap bind = assignment_->MapOf(lr.rel.schema());
   const auto process = [&](const MemChunk& part) {
     Rec(rest, [&] {
       for (TupleCount i = 0; i < part.size(); ++i) {
-        Bind(lr.rel.schema(), part.tuple(i).data());
+        assignment_->Bind(bind, part.tuple(i).data());
         on_result();
       }
     });
@@ -197,6 +194,8 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
   }
   const LiveRel leaf = rels[info.leaf];
   const std::uint32_t leaf_vcol = *leaf.rel.schema().PositionOf(v);
+  const std::uint32_t v_slot = assignment_->SlotOf(v);
+  const BindMap leaf_bind = assignment_->MapOf(leaf.rel.schema());
 
   // --- Heavy values (lines 14–20). ---
   for (storage::GroupCursor cur(leaf.rel, v); !cur.Done(); cur.Advance()) {
@@ -227,7 +226,7 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
     const auto process = [&](const MemChunk& part) {
       Rec(rest, [&] {
         for (TupleCount i = 0; i < part.size(); ++i) {
-          Bind(leaf.rel.schema(), part.tuple(i).data());
+          assignment_->Bind(leaf_bind, part.tuple(i).data());
           on_result();
         }
       });
@@ -241,7 +240,8 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
     if (metrics::Registry* reg = dev_->metrics()) [[unlikely]] {
       reg->GetHistogram("emjoin_emit_batch_tuples")->Record(part.size());
     }
-    const std::vector<Value> vals = part.DistinctValues(leaf_vcol);
+    const storage::ChunkIndex index(part, leaf_vcol);
+    const std::vector<Value> vals = index.Keys();
 
     // R'(M1): neighbours semijoined with the chunk; v stays in the
     // logical query, so the query remains connected.
@@ -258,9 +258,8 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
 
     Rec(rest, [&] {
       // Line 27: find the chunk tuples matching the result's v-value.
-      const Value val = assignment_->ValueOf(v);
-      part.ForEachMatch(leaf_vcol, val, [&](storage::TupleRef t) {
-        Bind(leaf.rel.schema(), t.data());
+      index.ForEachMatch(assignment_->at(v_slot), [&](storage::TupleRef t) {
+        assignment_->Bind(leaf_bind, t.data());
         on_result();
       });
     });

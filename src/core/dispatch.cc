@@ -28,14 +28,16 @@ void NestedLoopWrap(const Relation& outer, storage::AttrId shared,
   extmem::Device* dev = outer.device();
   trace::Span span(dev, "nested_loop_wrap");
   const std::uint32_t col = *outer.schema().PositionOf(shared);
+  const std::uint32_t slot = assignment->SlotOf(shared);
+  const BindMap outer_bind = assignment->MapOf(outer.schema());
   ProcessInChunks(
       outer, dev->M(), user_emit,
       [&](const storage::MemChunk& chunk, const EmitFn& emit) {
         span.Count("nl_chunks", 1);
+        const storage::ChunkIndex index(chunk, col);
         run_inner([&](std::span<const Value>) {
-          const Value val = assignment->ValueOf(shared);
-          chunk.ForEachMatch(col, val, [&](storage::TupleRef t) {
-            assignment->Bind(outer.schema(), t.data());
+          index.ForEachMatch(assignment->at(slot), [&](storage::TupleRef t) {
+            assignment->Bind(outer_bind, t.data());
             emit(assignment->values());
           });
         });

@@ -1,6 +1,7 @@
 #ifndef EMJOIN_CORE_EMIT_H_
 #define EMJOIN_CORE_EMIT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -40,6 +41,17 @@ struct ResultSchema {
 /// order.
 ResultSchema MakeResultSchema(const std::vector<storage::Relation>& rels);
 
+/// A physical schema compiled against a ResultSchema: the (column, slot)
+/// pair of each of its attributes that the result holds. Operators
+/// compile one per schema per call, so binding a row looks nothing up.
+struct BindMap {
+  struct Entry {
+    std::uint32_t col;
+    std::uint32_t slot;
+  };
+  std::vector<Entry> entries;
+};
+
 /// A mutable result assignment. Operators bind the physical tuples that
 /// participate in a result, then hand `values()` to the EmitFn.
 class Assignment {
@@ -49,18 +61,30 @@ class Assignment {
 
   const ResultSchema& schema() const { return schema_; }
 
-  /// Binds every attribute of `phys` that occurs in the result schema to
-  /// the corresponding value of tuple `t`.
-  void Bind(const storage::Schema& phys, const Value* t) {
+  /// Compiles `phys`: its attributes outside the result schema are
+  /// dropped.
+  BindMap MapOf(const storage::Schema& phys) const {
+    BindMap map;
     for (std::uint32_t i = 0; i < phys.arity(); ++i) {
-      const std::uint32_t pos = schema_.PositionOf(phys.attr(i));
-      if (pos < values_.size()) values_[pos] = t[i];
+      const std::uint32_t slot = schema_.PositionOf(phys.attr(i));
+      if (slot < values_.size()) map.entries.push_back({i, slot});
     }
+    return map;
   }
 
-  Value ValueOf(storage::AttrId a) const {
-    return values_[schema_.PositionOf(a)];
+  /// Slot of attribute `a` in values(); `a` must be in the schema.
+  std::uint32_t SlotOf(storage::AttrId a) const {
+    const std::uint32_t slot = schema_.PositionOf(a);
+    assert(slot < values_.size());
+    return slot;
   }
+
+  /// Binds tuple `t`, laid out per the schema `map` was compiled from.
+  void Bind(const BindMap& map, const Value* t) {
+    for (const BindMap::Entry& e : map.entries) values_[e.slot] = t[e.col];
+  }
+
+  Value at(std::uint32_t slot) const { return values_[slot]; }
 
   std::span<const Value> values() const { return values_; }
 

@@ -37,6 +37,8 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
   const storage::Relation r2 = r2_in.SortedBy(v2);
   const storage::Relation r3 = r3_in.SortedBy(v3);
   const std::uint32_t r1_v2col = *r1.schema().PositionOf(v2);
+  const std::uint32_t v2_slot = assignment->SlotOf(v2);
+  const BindMap r1_bind = assignment->MapOf(r1.schema());
 
   // Lines 4–7: heavy values of v2 in R1.
   for (storage::GroupCursor cur(r1, v2); !cur.Done(); cur.Advance()) {
@@ -61,17 +63,16 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
                            const EmitFn& chunk_emit) {
     trace::Span light_span(dev, "line3.light");
     light_span.Count("light_chunks", 1);
-    const std::vector<Value> vals = part.DistinctValues(r1_v2col);
+    const storage::ChunkIndex index(part, r1_v2col);
     // Line 9: semijoin R2(M1) = R2 ⋉ M1 (one scan; R1, R2 sorted by v2).
-    const storage::Relation r2m = SemiJoinValues(r2, v2, vals);
+    const storage::Relation r2m = SemiJoinValues(r2, v2, index.Keys());
     // Line 10: sort-merge R2(M1) ⋈ R3; no value of v3 is heavy enough to
     // matter (≤ M repetitions), the instance-optimal 2-relation join
     // handles either way.
     SortMergeJoin(r2m, r3, assignment, [&](std::span<const Value>) {
       // Lines 11–12: combine with the matching R1 tuples in memory.
-      const Value val = assignment->ValueOf(v2);
-      part.ForEachMatch(r1_v2col, val, [&](storage::TupleRef t) {
-        assignment->Bind(r1.schema(), t.data());
+      index.ForEachMatch(assignment->at(v2_slot), [&](storage::TupleRef t) {
+        assignment->Bind(r1_bind, t.data());
         chunk_emit(assignment->values());
       });
     });

@@ -173,6 +173,8 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
   for (const Relation& r : rels) parts.push_back(Partition(r, p));
 
   Assignment assignment(MakeResultSchema(rels));
+  // `bound` below holds one value per universe attribute, in order.
+  const BindMap universe_bind = assignment.MapOf(Schema(universe));
 
   // Enumerate group assignments (g_0..g_{n-1}) odometer-style.
   std::vector<std::uint64_t> gs(n, 0);
@@ -280,10 +282,7 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
             ok = member[i].count(probe) > 0;
           }
           if (!ok) continue;
-          for (std::size_t i = 0; i < universe.size(); ++i) {
-            const Value row[1] = {bound[i]};
-            assignment.Bind(Schema({universe[i]}), row);
-          }
+          assignment.Bind(universe_bind, bound.data());
           emit(assignment.values());
         }
       }

@@ -1,6 +1,8 @@
 #include "core/pairwise.h"
 
 #include <cassert>
+#include <optional>
+#include <vector>
 
 #include "trace/tracer.h"
 
@@ -8,21 +10,69 @@ namespace emjoin::core {
 
 namespace {
 
-// Emits all combinations of a memory-resident chunk with one streamed
-// tuple that agree on the chunk-vs-tuple shared attributes.
-void EmitChunkMatches(const storage::MemChunk& chunk,
-                      const storage::Schema& streamed_schema, const Value* t,
-                      Assignment* base, const EmitFn& emit) {
-  for (TupleCount i = 0; i < chunk.size(); ++i) {
-    const storage::TupleRef c = chunk.tuple(i);
-    if (!storage::TuplesJoinable(c, chunk.schema(),
-                                 {t, streamed_schema.arity()},
-                                 streamed_schema)) {
-      continue;
+// A (chunk schema, streamed schema) pair compiled once per operator call:
+// the shared columns, whose first the chunk index is probed on and whose
+// rest are compared (Algorithm 4's S(t) x T(t) slices share two), and
+// the two bind maps. No shared column means a cross product. The chunk's
+// map leaves out the shared columns: a match agrees with the streamed
+// tuple there, which is bound once per streamed tuple.
+struct PairPlan {
+  struct Shared {
+    std::uint32_t chunk_col;
+    std::uint32_t streamed_col;
+  };
+  std::vector<Shared> shared;
+  BindMap chunk_bind;
+  BindMap streamed_bind;
+};
+
+PairPlan CompilePair(const storage::Schema& chunk,
+                     const storage::Schema& streamed,
+                     const Assignment& assignment) {
+  PairPlan plan;
+  for (std::uint32_t i = 0; i < chunk.arity(); ++i) {
+    if (const auto pos = streamed.PositionOf(chunk.attr(i))) {
+      plan.shared.push_back({i, *pos});
     }
-    base->Bind(chunk.schema(), c.data());
-    base->Bind(streamed_schema, t);
-    emit(base->values());
+  }
+  plan.chunk_bind = assignment.MapOf(chunk);
+  std::erase_if(plan.chunk_bind.entries, [&](const BindMap::Entry& e) {
+    return streamed.Contains(chunk.attr(e.col));
+  });
+  plan.streamed_bind = assignment.MapOf(streamed);
+  return plan;
+}
+
+// Streams every tuple of `streamed` against the resident `chunk`,
+// emitting each combination that agrees on the shared attributes, in
+// (streamed order, chunk order).
+void StreamAgainstChunk(const storage::MemChunk& chunk, const PairPlan& plan,
+                        const Relation& streamed, Assignment* base,
+                        const EmitFn& emit) {
+  std::optional<storage::ChunkIndex> index;
+  if (!plan.shared.empty()) index.emplace(chunk, plan.shared.front().chunk_col);
+  const std::uint32_t w = streamed.schema().arity();
+  extmem::FileReader reader(streamed.range());
+  while (!reader.Done()) {
+    const std::span<const Value> block = reader.NextBlock();
+    for (const Value* t = block.data(); t != block.data() + block.size();
+         t += w) {
+      base->Bind(plan.streamed_bind, t);
+      const auto combine = [&](storage::TupleRef c) {
+        for (std::size_t k = 1; k < plan.shared.size(); ++k) {
+          if (c[plan.shared[k].chunk_col] != t[plan.shared[k].streamed_col]) {
+            return;
+          }
+        }
+        base->Bind(plan.chunk_bind, c.data());
+        emit(base->values());
+      };
+      if (!index.has_value()) {
+        for (TupleCount i = 0; i < chunk.size(); ++i) combine(chunk.tuple(i));
+      } else {
+        index->ForEachMatch(t[plan.shared.front().streamed_col], combine);
+      }
+    }
   }
 }
 
@@ -32,17 +82,10 @@ void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
                          Assignment* base, const EmitFn& emit) {
   extmem::Device* dev = outer.device();
   trace::Count(dev, "bnl_joins");
-  const std::uint32_t iw = inner.schema().arity();
+  const PairPlan plan = CompilePair(outer.schema(), inner.schema(), *base);
   const auto process = [&](const storage::MemChunk& chunk,
                            const EmitFn& chunk_emit) {
-    extmem::FileReader inner_reader(inner.range());
-    while (!inner_reader.Done()) {
-      const std::span<const Value> block = inner_reader.NextBlock();
-      for (const Value* t = block.data(); t != block.data() + block.size();
-           t += iw) {
-        EmitChunkMatches(chunk, inner.schema(), t, base, chunk_emit);
-      }
-    }
+    StreamAgainstChunk(chunk, plan, inner, base, chunk_emit);
   };
   ProcessInChunks(outer, dev->M(), emit, process);
 }
@@ -62,6 +105,9 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
   const Relation s2 = r2.SortedBy(v);
   extmem::Device* dev = r1.device();
   const TupleCount m = dev->M();
+  // The light-group path loads whichever group is smaller.
+  const PairPlan plan12 = CompilePair(s1.schema(), s2.schema(), *base);
+  const PairPlan plan21 = CompilePair(s2.schema(), s1.schema(), *base);
 
   storage::GroupCursor c1(s1, v);
   storage::GroupCursor c2(s2, v);
@@ -81,8 +127,9 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
       BlockNestedLoopJoin(g1, g2, base, emit);
     } else {
       // Load the lighter group, stream the other.
-      const Relation& small = g1.size() <= g2.size() ? g1 : g2;
-      const Relation& large = g1.size() <= g2.size() ? g2 : g1;
+      const bool first_small = g1.size() <= g2.size();
+      const Relation& small = first_small ? g1 : g2;
+      const Relation& large = first_small ? g2 : g1;
       if (dev->DegradedChunkCap(small.size()) < small.size()) {
         // Degraded: the light group no longer fits the shrunken budget.
         // Fall back to the chunked nested loop, which re-plans its own
@@ -94,15 +141,8 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
         storage::MemChunk chunk;
         storage::LoadChunk(small_reader, small.schema(), dev, small.size(),
                            &chunk);
-        const std::uint32_t lw = large.schema().arity();
-        extmem::FileReader large_reader(large.range());
-        while (!large_reader.Done()) {
-          const std::span<const Value> block = large_reader.NextBlock();
-          for (const Value* t = block.data(); t != block.data() + block.size();
-               t += lw) {
-            EmitChunkMatches(chunk, large.schema(), t, base, emit);
-          }
-        }
+        StreamAgainstChunk(chunk, first_small ? plan12 : plan21, large, base,
+                           emit);
       }
     }
     c1.Advance();

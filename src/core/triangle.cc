@@ -179,7 +179,9 @@ void TriangleJoin(const Relation& r1, const Relation& r2, const Relation& r3,
   const PartitionedRelation p3 = Partition(s3, p);
 
   Assignment assignment(MakeResultSchema({r1, r2, r3}));
-  const Schema sch1({a, b}), sch2({a, c}), sch3({b, c});
+  const BindMap bind1 = assignment.MapOf(Schema({a, b}));
+  const BindMap bind2 = assignment.MapOf(Schema({a, c}));
+  const BindMap bind3 = assignment.MapOf(Schema({b, c}));
   const TupleCount cap = std::max<TupleCount>(1, m / 3);
 
   for (std::uint64_t ga = 0; ga < p; ++ga) {
@@ -226,9 +228,9 @@ void TriangleJoin(const Relation& r1, const Relation& r2, const Relation& r3,
                   const Value row1[2] = {va, vb};
                   const Value row2[2] = {va, vc};
                   const Value row3[2] = {vb, vc};
-                  assignment.Bind(sch1, row1);
-                  assignment.Bind(sch2, row2);
-                  assignment.Bind(sch3, row3);
+                  assignment.Bind(bind1, row1);
+                  assignment.Bind(bind2, row2);
+                  assignment.Bind(bind3, row3);
                   emit(assignment.values());
                 }
               }
@@ -267,6 +269,8 @@ void TriangleViaMaterialization(const Relation& r1, const Relation& r2,
   const std::uint32_t tc = *r3s.schema().PositionOf(c);
 
   Assignment assignment(MakeResultSchema({r1, r2, r3}));
+  const BindMap js_bind = assignment.MapOf(js.schema());
+  const BindMap r3_bind = assignment.MapOf(r3s.schema());
   extmem::FileReader jr(js.range());
   extmem::FileReader tr(r3s.range());
   // R3 has at most one tuple per (b, c); advance it lazily.
@@ -281,8 +285,8 @@ void TriangleViaMaterialization(const Relation& r1, const Relation& r2,
     if (tr.Done()) break;
     const Value* t3 = tr.Peek();
     if (t3[tb] == key[0] && t3[tc] == key[1]) {
-      assignment.Bind(js.schema(), row);
-      assignment.Bind(r3s.schema(), t3);
+      assignment.Bind(js_bind, row);
+      assignment.Bind(r3_bind, t3);
       emit(assignment.values());
     }
   }

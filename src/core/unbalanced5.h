@@ -14,7 +14,7 @@ namespace emjoin::core {
 ///   3. for each t ∈ R3 (sorted lexicographically by its two attributes),
 ///      nested-loop join S ⋉ t with T ⋉ t.
 ///
-/// Õ(N1·N3·N5/(MB) + N1·N3/B + N3·N5/B + ΣN/B) I/Os.
+/// Õ(N1·N3·N5/(M²B) + N1·N3/B + N3·N5/B + ΣN/B) I/Os.
 /// Relations must form a line r1–r2–r3–r4–r5.
 void LineJoinUnbalanced5(const storage::Relation& r1,
                          const storage::Relation& r2,

@@ -49,12 +49,13 @@ YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
   std::uint64_t emitted = 0;
   Assignment assignment(MakeResultSchema(rels));
   const std::uint32_t w = final_rel.schema().arity();
+  const BindMap bind = assignment.MapOf(final_rel.schema());
   extmem::FileReader reader(final_rel.range());
   while (!reader.Done()) {
     const std::span<const Value> block = reader.NextBlock();
     for (const Value* t = block.data(); t != block.data() + block.size();
          t += w) {
-      assignment.Bind(final_rel.schema(), t);
+      assignment.Bind(bind, t);
       emit(assignment.values());
       ++emitted;
     }

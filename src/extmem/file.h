@@ -57,10 +57,6 @@ class DiskFile {
     data_.insert(data_.end(), tuples.begin(), tuples.end());
   }
 
-  /// Uncharged in-place whole-file sort hook used by the external sorter
-  /// for single-run inputs that fit in memory.
-  std::vector<Value>& MutableData() { return data_; }
-
   /// Pre-sizes the backing store for `tuples` more tuples. Purely a
   /// wall-clock hint (avoids vector regrowth); never affects charging.
   void Reserve(TupleCount tuples) {
@@ -159,9 +155,6 @@ class FileReader {
     pos_ = end;
     return {base, tuples * range_.file->width()};
   }
-
-  /// Tuples remaining.
-  [[nodiscard]] TupleCount Remaining() const { return range_.end - pos_; }
 
   /// Absolute position in the underlying file.
   [[nodiscard]] TupleCount position() const { return pos_; }

@@ -4,15 +4,6 @@
 
 namespace emjoin::serve {
 
-const char* AdmissionDecisionName(AdmissionDecision decision) {
-  switch (decision) {
-    case AdmissionDecision::kAdmitted: return "admitted";
-    case AdmissionDecision::kQueued: return "queued";
-    case AdmissionDecision::kRejected: return "rejected";
-  }
-  return "unknown";
-}
-
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {}
 

@@ -28,8 +28,6 @@ enum class AdmissionDecision : int {
   kRejected,      // cannot ever fit, or the wait queue is full
 };
 
-const char* AdmissionDecisionName(AdmissionDecision decision);
-
 /// Counters and gauges for /metrics and /healthz.
 struct AdmissionSnapshot {
   TupleCount memory_budget = 0;

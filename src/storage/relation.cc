@@ -1,8 +1,7 @@
 #include "storage/relation.h"
 
-#include <cassert>
 #include <algorithm>
-#include <cmath>
+#include <cassert>
 
 namespace emjoin::storage {
 
@@ -68,64 +67,47 @@ Relation Relation::EqualRange(AttrId a, Value val) const {
   return Slice(first, lo);
 }
 
-void Relation::ForEachGroup(
-    AttrId a, const std::function<void(Value, Relation)>& fn) const {
-  assert(IsSortedBy(a));
-  const auto pos = schema_.PositionOf(a);
-  assert(pos.has_value());
-  const std::uint32_t col = *pos;
+ChunkIndex::ChunkIndex(const MemChunk& chunk, std::uint32_t col)
+    : chunk_(&chunk), col_(col) {
+  bool sorted = true;
+  for (TupleCount i = 1; i < chunk.size() && sorted; ++i) {
+    sorted = chunk.tuple(i - 1)[col] <= chunk.tuple(i)[col];
+  }
+  if (sorted) return;
+  entries_.reserve(chunk.size());
+  for (TupleCount i = 0; i < chunk.size(); ++i) {
+    entries_.push_back({chunk.tuple(i)[col], i});
+  }
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
+              return a.value != b.value ? a.value < b.value : a.pos < b.pos;
+            });
+}
 
-  extmem::FileReader reader(range_);
-  const std::uint32_t w = schema_.arity();
-  TupleCount group_start = 0;
-  TupleCount i = 0;
-  std::optional<Value> current;
-  while (!reader.Done()) {
-    const std::span<const Value> block = reader.NextBlock();
-    for (std::size_t off = 0; off < block.size(); off += w) {
-      const Value v = block[off + col];
-      if (current.has_value() && v != *current) {
-        fn(*current, Slice(group_start, i));
-        group_start = i;
-      }
-      current = v;
-      ++i;
+TupleCount ChunkIndex::LowerBound(Value val) const {
+  TupleCount lo = 0, hi = chunk_->size();
+  while (lo < hi) {
+    const TupleCount mid = lo + (hi - lo) / 2;
+    if (chunk_->tuple(mid)[col_] < val) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  if (current.has_value()) {
-    fn(*current, Slice(group_start, i));
-  }
+  return lo;
 }
 
-std::vector<Tuple> Relation::ReadAll() const {
-  std::vector<Tuple> out;
-  out.reserve(size());
-  extmem::FileReader reader(range_);
-  const std::uint32_t w = schema_.arity();
-  while (!reader.Done()) {
-    const std::span<const Value> block = reader.NextBlock();
-    for (std::size_t off = 0; off < block.size(); off += w) {
-      out.emplace_back(block.data() + off, block.data() + off + w);
-    }
+std::vector<Value> ChunkIndex::Keys() const {
+  std::vector<Value> keys;
+  const auto add = [&keys](Value v) {
+    if (keys.empty() || keys.back() != v) keys.push_back(v);
+  };
+  if (entries_.empty()) {
+    for (TupleCount i = 0; i < chunk_->size(); ++i) add(chunk_->tuple(i)[col_]);
+  } else {
+    for (const Entry& e : entries_) add(e.value);
   }
-  return out;
-}
-
-void MemChunk::ForEachMatch(std::uint32_t col, Value val,
-                            const std::function<void(TupleRef)>& fn) const {
-  for (TupleCount i = 0; i < count_; ++i) {
-    TupleRef t = tuple(i);
-    if (t[col] == val) fn(t);
-  }
-}
-
-std::vector<Value> MemChunk::DistinctValues(std::uint32_t col) const {
-  std::vector<Value> vals;
-  vals.reserve(count_);
-  for (TupleCount i = 0; i < count_; ++i) vals.push_back(tuple(i)[col]);
-  std::sort(vals.begin(), vals.end());
-  vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-  return vals;
+  return keys;
 }
 
 GroupCursor::GroupCursor(const Relation& rel, AttrId a)
@@ -161,25 +143,6 @@ bool LoadChunk(extmem::FileReader& reader, const Schema& schema,
     const std::span<const Value> block = reader.NextBlock(max_tuples - loaded);
     out->AppendBlock(block);
     loaded += block.size() / schema.arity();
-  }
-  return true;
-}
-
-bool LoadChunkByValue(extmem::FileReader& reader, const Schema& schema,
-                      extmem::Device* device, std::uint32_t col,
-                      TupleCount min_tuples, MemChunk* out) {
-  if (reader.Done()) return false;
-  *out = MemChunk(schema, device);
-  TupleCount loaded = 0;
-  while (!reader.Done()) {
-    if (loaded >= min_tuples) {
-      // Stop at a group boundary: only continue while the next tuple has
-      // the same value as the last loaded one.
-      const Value last = out->tuple(loaded - 1)[col];
-      if (reader.Peek()[col] != last) break;
-    }
-    out->Append(TupleRef(reader.Next(), schema.arity()));
-    ++loaded;
   }
   return true;
 }

@@ -1,7 +1,7 @@
 #ifndef EMJOIN_STORAGE_RELATION_H_
 #define EMJOIN_STORAGE_RELATION_H_
 
-#include <functional>
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -59,14 +59,6 @@ class Relation {
   /// `a` (the paper's R(e)|_{v=a}). Charges O(log(size/B)) probe reads.
   Relation EqualRange(AttrId a, Value val) const;
 
-  /// For a relation sorted by `a`: calls `fn(value, slice)` for every
-  /// distinct value of `a`, in one charged sequential scan.
-  void ForEachGroup(AttrId a,
-                    const std::function<void(Value, Relation)>& fn) const;
-
-  /// Reads the whole relation into a vector of owned tuples (charged scan).
-  std::vector<Tuple> ReadAll() const;
-
  private:
   Schema schema_;
   extmem::FileRange range_;
@@ -93,12 +85,6 @@ class MemChunk {
     return TupleRef(data_.data() + i * schema_.arity(), schema_.arity());
   }
 
-  void Append(TupleRef t) {
-    data_.insert(data_.end(), t.begin(), t.end());
-    ++count_;
-    reservation_.Resize(count_);
-  }
-
   /// Bulk append of whole tuples (one copy, one gauge update).
   void AppendBlock(std::span<const Value> tuples) {
     assert(tuples.size() % schema_.arity() == 0);
@@ -117,18 +103,66 @@ class MemChunk {
   /// spills (FileWriter::AppendBlock) and re-plan helpers.
   std::span<const Value> data() const { return data_; }
 
-  /// Calls `fn` for every tuple whose column `col` equals `val`.
-  void ForEachMatch(std::uint32_t col, Value val,
-                    const std::function<void(TupleRef)>& fn) const;
-
-  /// Distinct values in column `col` (unsorted chunk OK).
-  std::vector<Value> DistinctValues(std::uint32_t col) const;
-
  private:
   Schema schema_;
   std::vector<Value> data_;
   TupleCount count_ = 0;
   extmem::MemoryReservation reservation_;
+};
+
+/// A chunk indexed on one column: the in-memory join kernels' probe. A
+/// probe costs O(log size + matches), so combining a resident chunk with a
+/// streamed tuple costs no more than the results it yields.
+///
+/// When the column is already non-decreasing (every light chunk that
+/// ProcessLightGroups packs from sorted groups, and its sub-chunks), the
+/// index binary-searches the chunk in place and allocates nothing.
+/// Otherwise it holds (value, position) pairs sorted by value, then
+/// position: 16 bytes per tuple. Either way matches come in chunk order,
+/// so a kernel emits its rows in the order a scan of the chunk would.
+///
+/// The index is host state, like the tracer's buffers: it is neither
+/// charged nor reserved on the MemoryGauge, so no I/O count, residency
+/// peak or budget trip moves. It must not outlive `chunk` or see it
+/// change.
+class ChunkIndex {
+ public:
+  ChunkIndex(const MemChunk& chunk, std::uint32_t col);
+
+  /// Calls `fn(TupleRef)` for every tuple whose column equals `val`, in
+  /// chunk order.
+  template <typename Fn>
+  void ForEachMatch(Value val, Fn&& fn) const {
+    if (entries_.empty()) {
+      for (TupleCount i = LowerBound(val);
+           i < chunk_->size() && chunk_->tuple(i)[col_] == val; ++i) {
+        fn(chunk_->tuple(i));
+      }
+      return;
+    }
+    for (auto it = std::partition_point(
+             entries_.begin(), entries_.end(),
+             [val](const Entry& e) { return e.value < val; });
+         it != entries_.end() && it->value == val; ++it) {
+      fn(chunk_->tuple(it->pos));
+    }
+  }
+
+  /// The column's distinct values, ascending.
+  std::vector<Value> Keys() const;
+
+ private:
+  struct Entry {
+    Value value;
+    TupleCount pos;
+  };
+
+  // First position whose value is >= val (sorted column only).
+  TupleCount LowerBound(Value val) const;
+
+  const MemChunk* chunk_;
+  std::uint32_t col_;
+  std::vector<Entry> entries_;  // empty when the column is sorted in place
 };
 
 /// Pull-based iteration over the value groups of a relation sorted by
@@ -164,15 +198,6 @@ class GroupCursor {
 /// already exhausted.
 bool LoadChunk(extmem::FileReader& reader, const Schema& schema,
                extmem::Device* device, TupleCount max_tuples, MemChunk* out);
-
-/// Loads tuples from `reader` (sorted by the attribute at column `col`)
-/// until at least `min_tuples` are fetched, never splitting a group of
-/// equal values across chunks ("load R(e) by v into memory as M(e)").
-/// With only light values present the chunk holds < min_tuples + M tuples.
-/// Returns false when the reader was already exhausted.
-bool LoadChunkByValue(extmem::FileReader& reader, const Schema& schema,
-                      extmem::Device* device, std::uint32_t col,
-                      TupleCount min_tuples, MemChunk* out);
 
 }  // namespace emjoin::storage
 

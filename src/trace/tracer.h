@@ -106,8 +106,6 @@ class Tracer {
   /// Theorem bounds), enabling per-phase measured/expected reporting.
   void ExpectIos(SpanId id, long double ios);
 
-  bool InSpan() const { return !stack_.empty(); }
-
   /// Imports every span of `other` under a fresh synthetic root named
   /// `root_name` (a literal or interned string): the root's inclusive
   /// I/O, tag breakdown, peak residency, and fault tallies aggregate

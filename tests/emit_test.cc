@@ -22,9 +22,10 @@ TEST(AssignmentTest, BindWritesAtSchemaPositions) {
   Assignment a(ResultSchema{{10, 20, 30}});
   const storage::Schema phys({20, 10});
   const Value t[2] = {200, 100};
-  a.Bind(phys, t);
-  EXPECT_EQ(a.ValueOf(10), 100u);
-  EXPECT_EQ(a.ValueOf(20), 200u);
+  a.Bind(a.MapOf(phys), t);
+  EXPECT_EQ(a.SlotOf(20), 1u);
+  EXPECT_EQ(a.at(a.SlotOf(10)), 100u);
+  EXPECT_EQ(a.at(a.SlotOf(20)), 200u);
   EXPECT_EQ(a.values().size(), 3u);
 }
 
@@ -32,8 +33,10 @@ TEST(AssignmentTest, BindIgnoresAttributesOutsideSchema) {
   Assignment a(ResultSchema{{1}});
   const storage::Schema phys({1, 2});
   const Value t[2] = {5, 6};
-  a.Bind(phys, t);  // attr 2 silently dropped
-  EXPECT_EQ(a.ValueOf(1), 5u);
+  const BindMap map = a.MapOf(phys);  // attr 2 silently dropped
+  EXPECT_EQ(map.entries.size(), 1u);
+  a.Bind(map, t);
+  EXPECT_EQ(a.at(a.SlotOf(1)), 5u);
 }
 
 TEST(AssignmentTest, LaterBindsOverwrite) {
@@ -42,10 +45,10 @@ TEST(AssignmentTest, LaterBindsOverwrite) {
   const storage::Schema s2({1, 2});
   const Value t1[1] = {7};
   const Value t2[2] = {9, 11};
-  a.Bind(s1, t1);
-  a.Bind(s2, t2);
-  EXPECT_EQ(a.ValueOf(1), 9u);
-  EXPECT_EQ(a.ValueOf(2), 11u);
+  a.Bind(a.MapOf(s1), t1);
+  a.Bind(a.MapOf(s2), t2);
+  EXPECT_EQ(a.at(a.SlotOf(1)), 9u);
+  EXPECT_EQ(a.at(a.SlotOf(2)), 11u);
 }
 
 TEST(SinksTest, CountingAndCollecting) {
@@ -96,7 +99,9 @@ TEST(ChunkReplanTest, ReDerivedRowsReachTheSinkExactlyOnce) {
   extmem::Device dev(64, 4);
   dev.gauge().SetEnforcedLimit(40);
   storage::MemChunk chunk(storage::Schema({1}), &dev);
-  for (Value v = 0; v < kTuples; ++v) chunk.Append(storage::TupleRef(&v, 1));
+  std::vector<Value> values(kTuples);
+  for (Value v = 0; v < kTuples; ++v) values[v] = v;
+  chunk.AppendBlock(values);
 
   std::vector<TupleCount> parts;
   CollectingSink sink;
@@ -125,7 +130,7 @@ TEST(ChunkReplanTest, DeviceThatCannotTripHandsTheBodyTheCallersEmit) {
   extmem::Device dev(64, 4);
   storage::MemChunk chunk(storage::Schema({1}), &dev);
   const Value v = 7;
-  chunk.Append(storage::TupleRef(&v, 1));
+  chunk.AppendBlock(storage::TupleRef(&v, 1));
   const EmitFn emit = [](std::span<const Value>) {};
   const EmitFn* seen = nullptr;
   const ChunkBody body = [&](const storage::MemChunk&, const EmitFn& e) {

@@ -11,11 +11,13 @@
 // a bug (or needs a deliberate, documented golden update).
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch.h"
 #include "core/emit.h"
 #include "core/line3.h"
 #include "extmem/fault_injector.h"
@@ -425,6 +427,97 @@ TEST(IoInvariance, TelemetryOnJoinPipelineChangesNoCharges) {
   ExpectTag(tags, "semijoin", 721, 320);
   ExpectTag(tags, "sort", 960, 960);
   EXPECT_EQ(telemetry.tracker().Clock(), 2577u + 1472u);
+}
+
+// The in-memory kernels are free to index and precompile, but the row
+// *sequence* they emit is part of the contract (the soak and the CLI
+// golden compare it). Each case pins the row count and the order-
+// sensitive journal hash of one kernel path.
+struct EmitOrder {
+  std::uint64_t rows = 0;
+  std::uint64_t hash = 0;
+  bool operator==(const EmitOrder&) const = default;
+};
+
+template <typename Run>
+EmitOrder EmitOrderOf(Run run) {
+  core::EmitJournal journal;
+  run([&](std::span<const Value> row) { EXPECT_TRUE(journal.Record(row)); });
+  return {journal.rows(), journal.hash()};
+}
+
+void PrintTo(const EmitOrder& o, std::ostream* os) {
+  *os << "{" << o.rows << "u, " << o.hash << "ull}";
+}
+
+// Algorithm 2's light peel: every value of a dense L3 is light.
+TEST(EmitOrderGolden, DenseL3LightPeel) {
+  extmem::Device dev(64, 8);
+  workload::RandomOptions opt;
+  opt.seed = 11;
+  opt.domain_size = 256;
+  const auto rels = workload::RandomInstance(&dev, query::JoinQuery::Line(3),
+                                             {800, 800, 800}, opt);
+  const EmitOrder got = EmitOrderOf([&](const core::EmitFn& emit) {
+    ASSERT_TRUE(core::TryJoinAuto(rels, emit).ok());
+  });
+  EXPECT_EQ(got, (EmitOrder{7857u, 14677544508293320603ull}));
+}
+
+// Algorithm 2 with heavy values (Zipf keys at M = 32).
+TEST(EmitOrderGolden, SkewedL3HeavyAndLight) {
+  extmem::Device dev(32, 4);
+  workload::RandomOptions opt;
+  opt.seed = 12;
+  opt.domain_size = 64;
+  opt.zipf_s = 1.0;
+  const auto rels = workload::RandomInstance(&dev, query::JoinQuery::Line(3),
+                                             {400, 400, 400}, opt);
+  const EmitOrder got = EmitOrderOf([&](const core::EmitFn& emit) {
+    ASSERT_TRUE(core::TryJoinAuto(rels, emit).ok());
+  });
+  EXPECT_EQ(got, (EmitOrder{60853u, 2700834668926019082ull}));
+}
+
+// Algorithm 1: heavy values through JoinToDisk + block nested loop,
+// light chunks through the semijoin and the in-memory combine.
+TEST(EmitOrderGolden, LineJoin3Algorithm1) {
+  extmem::Device dev(32, 4);
+  workload::RandomOptions opt;
+  opt.seed = 13;
+  opt.domain_size = 64;
+  opt.zipf_s = 0.8;
+  const auto rels = workload::RandomInstance(&dev, query::JoinQuery::Line(3),
+                                             {500, 400, 500}, opt);
+  const EmitOrder got = EmitOrderOf([&](const core::EmitFn& emit) {
+    core::LineJoin3(rels[0], rels[1], rels[2], emit);
+  });
+  EXPECT_EQ(got, (EmitOrder{70412u, 909654280258371521ull}));
+}
+
+// NestedLoopWrap over Algorithm 4, whose S(t) x T(t) nested loop joins
+// slices that share two attributes. A fully reduced L6 always has a
+// balanced split (its two L3 halves are balanced), so the wrap is reached
+// through the L7 whose optimal cover is (1,1,0,1,0,1,1): R1 and R7 wrap
+// Algorithm 4 on R2..R6. Sizes (10, 2, 60, 30, 60, 2, 10).
+TEST(EmitOrderGolden, UnbalancedL7NestedLoopOverAlgorithm4) {
+  extmem::Device dev(16, 4);
+  const std::vector<storage::Relation> rels = {
+      workload::ManyToOne(&dev, 0, 1, 10, 2),
+      workload::Matching(&dev, 1, 2, 2),
+      workload::CrossProduct(&dev, 2, 3, 2, 30),
+      workload::Matching(&dev, 3, 4, 30),
+      workload::CrossProduct(&dev, 4, 5, 30, 2),
+      workload::Matching(&dev, 5, 6, 2),
+      workload::OneToMany(&dev, 6, 7, 10, 2)};
+  std::string route;
+  const EmitOrder got = EmitOrderOf([&](const core::EmitFn& emit) {
+    const auto report = core::TryJoinAuto(rels, emit);
+    ASSERT_TRUE(report.ok());
+    route = report->algorithm;
+  });
+  EXPECT_EQ(route, "L7=NL(R1,R7, Alg4)");
+  EXPECT_EQ(got, (EmitOrder{3000u, 10823018456109597326ull}));
 }
 
 TEST(MergePasses, InMemoryInputNeedsNoMergePass) {

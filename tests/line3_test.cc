@@ -87,7 +87,7 @@ TEST(LineJoin3Test, ToDiskMatchesEmitModel) {
                                        {30, 30, 30}, opts);
   rels = FullyReduce(rels);
   const Relation out = LineJoin3ToDisk(rels[0], rels[1], rels[2]);
-  EXPECT_EQ(test::Sorted(out.ReadAll()), ReferenceJoin(rels));
+  EXPECT_EQ(test::Sorted(test::ReadAll(out)), ReferenceJoin(rels));
 }
 
 }  // namespace

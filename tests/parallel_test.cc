@@ -184,7 +184,7 @@ TEST(ShardPlanTest, FragmentsPartitionTheInputExactly) {
     }
 
     for (std::size_t r = 0; r < rels.size(); ++r) {
-      const std::vector<storage::Tuple> source = rels[r].ReadAll();
+      const std::vector<storage::Tuple> source = test::ReadAll(rels[r]);
       const auto col = rels[r].schema().PositionOf(plan.partition_attr);
       ASSERT_EQ(col.has_value(), plan.partitioned[r]);
       TupleCount total = 0;
@@ -200,7 +200,8 @@ TEST(ShardPlanTest, FragmentsPartitionTheInputExactly) {
             expected.push_back(t);
           }
         }
-        EXPECT_EQ(frag.ReadAll(), expected) << "shard " << s << " rel " << r;
+        EXPECT_EQ(test::ReadAll(frag), expected)
+            << "shard " << s << " rel " << r;
         total += frag.size();
       }
       // Partitioned relations split without loss or duplication;

@@ -213,8 +213,8 @@ TEST(RandomQueryPropertyTest, ReducerIsIdempotent) {
     const auto once = core::FullyReduce(rels);
     const auto twice = core::FullyReduce(once);
     for (std::size_t i = 0; i < once.size(); ++i) {
-      EXPECT_EQ(test::Sorted(once[i].ReadAll()),
-                test::Sorted(twice[i].ReadAll()));
+      EXPECT_EQ(test::Sorted(test::ReadAll(once[i])),
+                test::Sorted(test::ReadAll(twice[i])));
     }
   }
 }

@@ -19,7 +19,7 @@ TEST(SemiJoinTest, FiltersByMembership) {
   const Relation rel = MakeRel(&dev, {0, 1}, {{1, 5}, {2, 6}, {3, 5}});
   const Relation filter = MakeRel(&dev, {1, 2}, {{5, 0}, {7, 0}});
   const Relation out = SemiJoin(rel, filter, 1);
-  EXPECT_EQ(test::Sorted(out.ReadAll()),
+  EXPECT_EQ(test::Sorted(test::ReadAll(out)),
             (std::vector<std::vector<Value>>{{1, 5}, {3, 5}}));
   EXPECT_TRUE(out.IsSortedBy(1));
 }
@@ -37,7 +37,7 @@ TEST(SemiJoinValuesTest, FiltersAgainstSortedValueList) {
       MakeRel(&dev, {0, 1}, {{1, 2}, {3, 4}, {5, 6}, {7, 8}}).SortedBy(0);
   const std::vector<Value> vals = {3, 7};
   const Relation out = SemiJoinValues(rel, 0, vals);
-  EXPECT_EQ(test::Sorted(out.ReadAll()),
+  EXPECT_EQ(test::Sorted(test::ReadAll(out)),
             (std::vector<std::vector<Value>>{{3, 4}, {7, 8}}));
 }
 
@@ -70,7 +70,7 @@ void ExpectFullyReduced(const std::vector<Relation>& input) {
   const auto expected = SurvivingTuples(input);
   ASSERT_EQ(reduced.size(), input.size());
   for (std::size_t i = 0; i < reduced.size(); ++i) {
-    const auto rows = reduced[i].ReadAll();
+    const auto rows = test::ReadAll(reduced[i]);
     const std::set<storage::Tuple> got(rows.begin(), rows.end());
     EXPECT_EQ(got, expected[i]) << "relation " << i;
   }

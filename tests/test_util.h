@@ -19,6 +19,21 @@ inline storage::Relation MakeRel(extmem::Device* dev,
                                        rows);
 }
 
+/// Reads the whole relation into owned tuples (a charged scan).
+inline std::vector<storage::Tuple> ReadAll(const storage::Relation& rel) {
+  std::vector<storage::Tuple> out;
+  out.reserve(rel.size());
+  extmem::FileReader reader(rel.range());
+  const std::uint32_t w = rel.schema().arity();
+  while (!reader.Done()) {
+    const std::span<const Value> block = reader.NextBlock();
+    for (std::size_t off = 0; off < block.size(); off += w) {
+      out.emplace_back(block.data() + off, block.data() + off + w);
+    }
+  }
+  return out;
+}
+
 /// Sorted result rows from a collecting sink.
 inline std::vector<std::vector<Value>> Sorted(
     std::vector<std::vector<Value>> rows) {

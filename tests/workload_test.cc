@@ -24,7 +24,7 @@ TEST(PrimitivesTest, Shapes) {
 
 TEST(PrimitivesTest, ManyToOneCoversTargetDomain) {
   extmem::Device dev(16, 4);
-  const auto rows = ManyToOne(&dev, 0, 1, 10, 3).ReadAll();
+  const auto rows = test::ReadAll(ManyToOne(&dev, 0, 1, 10, 3));
   std::set<Value> images;
   for (const auto& t : rows) images.insert(t[1]);
   EXPECT_EQ(images, (std::set<Value>{0, 1, 2}));
@@ -106,7 +106,7 @@ TEST(RandomInstanceTest, RespectsSizesAndDistinctness) {
   EXPECT_EQ(rels[0].size(), 10u);
   EXPECT_EQ(rels[1].size(), 16u);  // capped at 4*4 = 16 distinct tuples
   EXPECT_EQ(rels[2].size(), 16u);
-  const auto rows = rels[1].ReadAll();
+  const auto rows = test::ReadAll(rels[1]);
   const std::set<storage::Tuple> distinct(rows.begin(), rows.end());
   EXPECT_EQ(distinct.size(), rows.size());
 }
@@ -121,7 +121,7 @@ TEST(RandomInstanceTest, ZipfSkewsValueFrequencies) {
   const auto rels = RandomInstance(&dev, q, {200, 200}, skewed);
   // With s=1.5, value 0 should appear far more often than value 32+.
   std::uint64_t low = 0, high = 0;
-  for (const auto& t : rels[0].ReadAll()) {
+  for (const auto& t : test::ReadAll(rels[0])) {
     if (t[0] < 4) ++low;
     if (t[0] >= 32) ++high;
   }
@@ -135,8 +135,8 @@ TEST(RandomInstanceTest, DeterministicUnderSeed) {
   opts.seed = 123;
   const auto a = RandomInstance(&dev, q, {20, 20}, opts);
   const auto b = RandomInstance(&dev, q, {20, 20}, opts);
-  EXPECT_EQ(a[0].ReadAll(), b[0].ReadAll());
-  EXPECT_EQ(a[1].ReadAll(), b[1].ReadAll());
+  EXPECT_EQ(test::ReadAll(a[0]), test::ReadAll(b[0]));
+  EXPECT_EQ(test::ReadAll(a[1]), test::ReadAll(b[1]));
 }
 
 }  // namespace
