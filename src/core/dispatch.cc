@@ -111,27 +111,11 @@ AutoJoinReport DispatchLine(const std::vector<Relation>& line,
   }
 
   if (n == 6) {
-    if (HasBalancedSplit(sizes)) {
-      return run_acyclic("L6 with a balanced split (Theorem 6)");
-    }
-    // §6.3: nested loop with an end relation as the outer and the
-    // unbalanced 5-relation prefix/suffix as the inner (Algorithm 4).
-    if (!BalancedInterval(sizes, 0, 4)) {
-      NestedLoopWrap(line[5], SharedAttr(line[4], line[5]), assignment, emit,
-                     [&](const EmitFn& inner) {
-                       LineJoinUnbalanced5UnderAssignment(
-                           line[0], line[1], line[2], line[3], line[4],
-                           assignment, inner);
-                     });
-      return {"L6=NL(R6, Alg4)", "unbalanced L6, prefix unbalanced"};
-    }
-    NestedLoopWrap(line[0], SharedAttr(line[0], line[1]), assignment, emit,
-                   [&](const EmitFn& inner) {
-                     LineJoinUnbalanced5UnderAssignment(
-                         line[1], line[2], line[3], line[4], line[5],
-                         assignment, inner);
-                   });
-    return {"L6=NL(R1, Alg4)", "unbalanced L6, suffix unbalanced"};
+    // The k = 3 split is always balanced here: `line` is fully reduced,
+    // so each half is an L3 with N2 <= N1 * N3 (every middle tuple joins
+    // an end tuple on each side). §6.3's nested loop around Algorithm 4
+    // for an L6 without a balanced split never runs.
+    return run_acyclic("L6 with a balanced split (Theorem 6)");
   }
 
   if (n == 7) {

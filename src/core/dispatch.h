@@ -31,7 +31,8 @@ struct AutoJoinReport {
 /// query, and routes per §6–§7:
 ///   - line joins n ≤ 4, or balanced per Theorems 5/6: Algorithm 2;
 ///   - unbalanced L5: Algorithm 4;
-///   - unbalanced L6: nested loop around Algorithm 4 (§6.3);
+///   - unbalanced L6: Algorithm 2, since full reduction leaves it a
+///     balanced split (Theorem 6);
 ///   - L7 with cover (1,1,0,1,0,1,1): R1/R7 nested loop around Alg. 4;
 ///   - L7 alternating cover, balance broken: Algorithm 5;
 ///   - L8: balanced split if one exists, else end-relation nested loop

@@ -21,15 +21,13 @@ std::uint64_t FnvMix(std::uint64_t h, std::uint64_t v) {
   }
   return h;
 }
+}  // namespace
 
-// True when a budget trip can interrupt work on `dev`: its gauge already
-// enforces a limit, or its injector schedules shrinks that will.
 bool CanTripBudget(const extmem::Device& dev) {
   if (dev.gauge().enforcing()) return true;
   const extmem::FaultInjector* injector = dev.fault_injector();
   return injector != nullptr && injector->config().SchedulesShrink();
 }
-}  // namespace
 
 std::uint64_t EmitJournal::HashRow(std::span<const Value> row) {
   std::uint64_t h = kFnvOffset;
@@ -63,26 +61,6 @@ std::uint64_t EmitJournal::hash() const {
   // Mix in the row count so journals of different shapes with equal flat
   // contents (e.g. width 2 x 3 rows vs width 3 x 2 rows) do not collide.
   return FnvMix(h, rows_);
-}
-
-void EmitJournal::ReplayInto(const EmitFn& emit) const {
-  for (std::uint64_t i = 0; i < rows_; ++i) {
-    emit(std::span<const Value>(
-        data_.data() + static_cast<std::size_t>(i) * width_, width_));
-  }
-}
-
-void EmitJournal::Restore(std::uint32_t width, std::vector<Value> data) {
-  assert(width == 0 || data.size() % width == 0);
-  width_ = width;
-  data_ = std::move(data);
-  rows_ = width == 0 ? 0 : data_.size() / width;
-  index_.clear();
-  for (std::uint64_t i = 0; i < rows_; ++i) {
-    const std::span<const Value> row(
-        data_.data() + static_cast<std::size_t>(i) * width_, width_);
-    index_.emplace(HashRow(row), i);
-  }
 }
 
 EmitFn JournaledEmit(EmitJournal* journal, EmitFn sink) {

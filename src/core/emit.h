@@ -110,15 +110,13 @@ class CountingSink {
 /// time it reaches the journal and suppresses it after that. Because
 /// set-semantics joins emit DISTINCT rows, a duplicate arriving here is a
 /// *replay artifact*: a budget-shrink re-plan re-deriving rows it already
-/// delivered, or a resumed query re-running work an earlier attempt
-/// completed. Suppression restores exactly the uninterrupted output, in
+/// delivered. Suppression restores exactly the uninterrupted output, in
 /// first-emission order.
 ///
-/// Two places keep one. ProcessChunkWithReplan journals the rows of a
+/// One place keeps one: ProcessChunkWithReplan journals the rows of a
 /// chunk in flight while a trip can re-derive them, and frees the journal
-/// when the chunk commits. QueryManifest (src/recover/) keeps the *output
-/// watermark*, every row a query delivered, across attempts; it persists
-/// and reloads it.
+/// when the chunk commits. Across attempts a query needs no journal: its
+/// QueryManifest (src/recover/) counts the rows its sink received.
 ///
 /// The journal is host-side state (like tracer buffers and the metrics
 /// registry): it charges no device I/O, so fault-free golden counts are
@@ -136,20 +134,9 @@ class EmitJournal {
 
   /// Order-sensitive FNV-1a hash over all journaled rows, in first-
   /// emission order. Two journals holding the same rows in the same
-  /// order agree; the soak harness compares this against a baseline run.
+  /// order agree; the emit-order goldens pin a kernel's row sequence
+  /// with it.
   std::uint64_t hash() const;
-
-  /// Re-emits every journaled row, in first-emission order, into `emit`.
-  /// A resumed query calls this before running anything: the downstream
-  /// sink sees the pre-crash prefix exactly as the first run produced it.
-  void ReplayInto(const EmitFn& emit) const;
-
-  /// Serialization surface for QueryManifest: the flat row store in
-  /// first-emission order.
-  const std::vector<Value>& data() const { return data_; }
-
-  /// Rebuilds the journal from a flat row store (width values per row).
-  void Restore(std::uint32_t width, std::vector<Value> data);
 
  private:
   static std::uint64_t HashRow(std::span<const Value> row);
@@ -169,6 +156,45 @@ class EmitJournal {
 /// suppressed (see EmitJournal). `journal` must outlive the returned
 /// EmitFn.
 EmitFn JournaledEmit(EmitJournal* journal, EmitFn sink);
+
+/// Result rows in emission order, with no index: a shard's output held
+/// until the sharded barrier hands it to the sink in shard order (see
+/// parallel::TryParallelJoinAuto). Host-side state; it charges no I/O.
+class RowBuffer {
+ public:
+  /// Appends `row`; every row has the width of the first.
+  void Append(std::span<const Value> row) {
+    if (rows_ == 0) width_ = static_cast<std::uint32_t>(row.size());
+    assert(row.size() == width_);
+    data_.insert(data_.end(), row.begin(), row.end());
+    ++rows_;
+  }
+
+  /// Drops every row and frees their memory.
+  void Clear() { *this = RowBuffer(); }
+
+  std::uint64_t rows() const { return rows_; }
+  std::uint32_t width() const { return width_; }
+
+  /// Row `i` (0-based, in append order).
+  std::span<const Value> row(std::uint64_t i) const {
+    return {data_.data() + static_cast<std::size_t>(i) * width_, width_};
+  }
+
+  /// The flat row store: rows() * width() values, in append order.
+  const std::vector<Value>& data() const { return data_; }
+
+ private:
+  std::uint32_t width_ = 0;
+  std::uint64_t rows_ = 0;
+  std::vector<Value> data_;
+};
+
+/// True when a budget trip can interrupt work on `dev`: its gauge already
+/// enforces a limit, or its injector schedules shrinks that will. Only
+/// then can a run's emission order depend on more than the relations, M
+/// and B: a trip re-plans the chunk in flight.
+bool CanTripBudget(const extmem::Device& dev);
 
 /// One chunk's work: processes `chunk`, emitting every result through
 /// `emit`.

@@ -459,10 +459,8 @@ AuditRow RunAudit(const CostModel& model, const AuditOptions& options) {
   row.name = model.name;
   row.row = model.row;
   row.claim = model.claim;
-  row.slope_tol =
-      model.slope_tol > 0 ? model.slope_tol : options.slope_tol;
-  row.max_ratio =
-      model.max_ratio > 0 ? model.max_ratio : options.max_ratio;
+  row.slope_tol = options.slope_tol;
+  row.max_ratio = options.max_ratio;
 
   for (const TupleCount n : model.n_series) {
     row.n_points.push_back(RunPoint(model, n, model.m, model.b));

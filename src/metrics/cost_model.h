@@ -54,10 +54,6 @@ struct CostModel {
                             TupleCount m, TupleCount b)>
       expected_instance;
 
-  // Per-model tolerance overrides; <= 0 means the auditor default.
-  double slope_tol = 0;
-  double max_ratio = 0;
-
   /// The bound for `rels`, built at scale n, on a device (m, b):
   /// `expected_instance` when set, else `expected`.
   long double Bound(const std::vector<storage::Relation>& rels, TupleCount n,

@@ -109,12 +109,15 @@ class HttpExporter {
   [[nodiscard]] std::string HealthzJson() const;
 
   Telemetry* telemetry_;
-  // listen_fd_/port_/started_/start_time_/handler_ need no lock: they
-  // are written before the serve task is submitted (Start) or after the
-  // pool is joined (Stop), so the serve thread only ever reads settled
-  // values — the pool's queue mutex is the synchronization point.
+  // listen_fd_/wake_fds_/port_/started_/start_time_/handler_ need no
+  // lock: they are written before the serve task is submitted (Start)
+  // or after the pool is joined (Stop), so the serve thread only ever
+  // reads settled values — the pool's queue mutex is the
+  // synchronization point.
   HttpHandler handler_;
   int listen_fd_ = -1;
+  // A pipe Stop() writes to, so the serve loop's poll() returns at once.
+  int wake_fds_[2] = {-1, -1};
   std::uint16_t port_ = 0;
   // Lock-free: Stop() (any thread) flips it; the serve loop polls it
   // between poll() deadlines. Release/acquire pairing.

@@ -29,14 +29,14 @@ const char* InternShardName(std::uint32_t shard) {
   return names.insert("shard " + std::to_string(shard)).first->c_str();
 }
 
-// One shard's task state: the output rows it buffered (replayed in shard
-// order at the barrier; with a manifest the child journal is the buffer)
-// and its typed outcome. Each worker touches only its own ShardRun and
-// its own shard-local substrate, so the pool needs no synchronization
-// around these.
+// One shard's task state: the output rows it holds for the barrier
+// (`held`: its own buffer, or its child manifest's rows when a manifest
+// is bound) and its typed outcome. Each worker touches only its own
+// ShardRun and its own shard-local substrate, so the pool needs no
+// synchronization around these.
 struct ShardRun {
-  std::vector<Value> buffer;
-  std::uint64_t rows = 0;
+  core::RowBuffer buffer;
+  core::RowBuffer* held = nullptr;
   std::optional<extmem::Result<core::AutoJoinReport>> outcome;
 };
 
@@ -85,6 +85,7 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   std::vector<recover::QueryManifest*> children(k, nullptr);
   if (manifest != nullptr) {
     if (extmem::Status s = manifest->Bind(rels, k); !s.ok()) return s;
+    if (extmem::Status s = manifest->BindOrder(*src); !s.ok()) return s;
     for (std::uint32_t s = 0; s < k; ++s) children[s] = &manifest->Shard(s);
   }
 
@@ -150,6 +151,10 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   report.partition_io = src->stats() - src_before;
 
   std::vector<ShardRun> runs(k);
+  for (std::uint32_t s = 0; s < k; ++s) {
+    runs[s].held =
+        children[s] != nullptr ? &children[s]->journal() : &runs[s].buffer;
+  }
   {
     WorkerPool pool(report.workers);
     for (std::uint32_t s = 0; s < k; ++s) {
@@ -166,13 +171,15 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
         emit_lifecycle(extmem::ObsEventKind::kShardStart, 0);
         if (child != nullptr && child->PhaseCompleted("join")) {
           // This shard finished in a prior attempt: zero-I/O resume —
-          // its rows come out of the child journal at the barrier.
-          run.rows = child->journal().rows();
+          // the barrier reuses the rows its child manifest holds.
           run.outcome = core::AutoJoinReport{
               "resume", "shard join already completed in manifest"};
           emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
           return;
         }
+        // Rows held from an interrupted run of this shard never reached
+        // the sink: the shard starts over.
+        run.held->Clear();
         const std::vector<storage::Relation>& shard_rels = fragments[s];
         const bool any_empty =
             std::any_of(shard_rels.begin(), shard_rels.end(),
@@ -186,26 +193,13 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
           emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
           return;
         }
-        // With a manifest, the child journal is the shard's buffer: rows
-        // a prior interrupted attempt already journaled are suppressed
-        // here, and the barrier replays the journal whole.
-        core::EmitFn shard_emit = [&run](std::span<const Value> row) {
-          run.buffer.insert(run.buffer.end(), row.begin(), row.end());
-          ++run.rows;
-        };
-        if (child != nullptr) {
-          shard_emit = [journal = &child->journal()](
-                           std::span<const Value> row) {
-            static_cast<void>(journal->Record(row));
-          };
-        }
         // TryJoinAuto converts every failure into a Status internally,
         // so no exception crosses the thread boundary.
-        run.outcome = core::TryJoinAuto(shard_rels, shard_emit);
-        if (child != nullptr && run.outcome->ok()) {
-          child->MarkPhase("join");
-          run.rows = child->journal().rows();
-        }
+        run.outcome = core::TryJoinAuto(
+            shard_rels, [held = run.held](std::span<const Value> row) {
+              held->Append(row);
+            });
+        if (child != nullptr && run.outcome->ok()) child->MarkPhase("join");
         emit_lifecycle(extmem::ObsEventKind::kShardFinish,
                        run.outcome->ok() ? 1 : 0);
       });
@@ -219,27 +213,21 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     if (!runs[s].outcome->ok()) return runs[s].outcome->status();
   }
 
-  // Replay buffered output in shard order: the emitted sequence depends
-  // only on the inputs and K, never on worker interleaving.
-  if (manifest != nullptr) {
-    // Replay each shard's journal (prior-attempt rows plus this run's)
-    // through the query-level watermark, deduplicated so a re-run never
-    // double-emits.
-    const core::EmitFn journaled =
-        core::JournaledEmit(&manifest->journal(), emit);
-    for (std::uint32_t s = 0; s < k; ++s) {
-      children[s]->journal().ReplayInto(journaled);
-    }
-    manifest->MarkPhase("join");
-  } else {
-    const std::size_t width = core::MakeResultSchema(rels).attrs.size();
-    for (std::uint32_t s = 0; s < k; ++s) {
-      const std::vector<Value>& buf = runs[s].buffer;
-      for (std::size_t off = 0; off < buf.size(); off += width) {
-        emit(std::span<const Value>(buf.data() + off, width));
+  // Hand the held rows to the sink in shard order: the emitted sequence
+  // depends only on the inputs and K, never on worker interleaving. The
+  // barrier charges no I/O, so a kill never lands inside it and the
+  // watermark is 0 or every row; the skip drops the rows a completed
+  // earlier attempt already delivered.
+  std::uint64_t ordinal = 0;
+  for (std::uint32_t s = 0; s < k; ++s) {
+    const core::RowBuffer& held = *runs[s].held;
+    for (std::uint64_t i = 0; i < held.rows(); ++i) {
+      if (manifest == nullptr || manifest->Deliver(ordinal++)) {
+        emit(held.row(i));
       }
     }
   }
+  if (manifest != nullptr) manifest->MarkPhase("join");
 
   // Merge shard observability into the source's sinks at the barrier.
   report.per_shard.reserve(k);
@@ -249,7 +237,7 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     sr.tags = devices[s]->per_tag();
     sr.peak_resident = devices[s]->gauge().high_water();
     if (injectors[s] != nullptr) sr.faults = injectors[s]->stats();
-    sr.results = runs[s].rows;
+    sr.results = runs[s].held->rows();
     sr.report = runs[s].outcome->value();
 
     report.results += sr.results;

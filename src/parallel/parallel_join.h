@@ -37,12 +37,12 @@ struct ParallelOptions {
   /// RequestKill(); without either, shards run injector-free.
   bool faults = false;
   extmem::FaultConfig fault_config;
-  /// Optional whole-query checkpoint. When set, every shard journals its
-  /// output into its own child manifest (`manifest->Shard(s)`) as it
+  /// Optional whole-query checkpoint. When set, every shard holds its
+  /// output in its own child manifest (`manifest->Shard(s)`) as it
   /// runs; shards whose "join" phase is already completed in a loaded
-  /// manifest are skipped outright (their rows replay from the journal
-  /// with zero shard I/O), and the final emission is deduplicated
-  /// against the query-level watermark. K == 1 routes through
+  /// manifest are skipped outright (the barrier reuses their held rows,
+  /// with zero shard I/O), and the barrier skips the rows the query's
+  /// watermark counts as delivered. K == 1 routes through
   /// recover::TryResumableJoinAuto. Not owned; must outlive the call.
   recover::QueryManifest* manifest = nullptr;
 };

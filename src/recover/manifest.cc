@@ -1,7 +1,10 @@
 #include "recover/manifest.h"
 
+#include <bit>
 #include <fstream>
 #include <sstream>
+
+#include "extmem/fault_injector.h"
 
 namespace emjoin::recover {
 
@@ -18,7 +21,12 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-constexpr char kMagic[] = "emjoin-manifest v1";
+std::uint64_t MixDouble(std::uint64_t h, double v) {
+  return Mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+// v2 counts delivered rows; v1 journaled them.
+constexpr char kMagic[] = "emjoin-manifest v2";
 
 extmem::Status Malformed(const std::string& path, const std::string& what) {
   return extmem::Status(extmem::StatusCode::kInvalidInput,
@@ -42,6 +50,32 @@ std::uint64_t FingerprintOf(const std::vector<storage::Relation>& rels,
   return h;
 }
 
+std::uint64_t OrderKeyOf(const extmem::Device& dev) {
+  std::uint64_t h = Mix(Mix(kFnvOffset, dev.M()), dev.B());
+  if (!core::CanTripBudget(dev)) return h;
+  if (const extmem::FaultInjector* injector = dev.fault_injector()) {
+    // Every field but kill_at_ios: a resume runs without the kill that
+    // interrupted the attempt before it.
+    const extmem::FaultConfig& c = injector->config();
+    h = Mix(h, c.seed);
+    h = MixDouble(h, c.read_fail);
+    h = MixDouble(h, c.write_fail);
+    h = MixDouble(h, c.torn_write);
+    h = Mix(h, c.device_capacity_blocks);
+    h = Mix(h, c.shrink_at_ios.size());
+    for (const std::uint64_t tick : c.shrink_at_ios) h = Mix(h, tick);
+    h = MixDouble(h, c.shrink_prob);
+    h = Mix(h, c.shrink_every_poll ? 1 : 0);
+    h = MixDouble(h, c.shrink_factor);
+    h = Mix(h, c.shrink_floor_tuples);
+    h = Mix(h, c.retry.max_retries);
+    h = Mix(h, c.retry.backoff_base_ios);
+    h = Mix(h, c.adaptive_retry ? 1 : 0);
+  }
+  h = Mix(h, dev.gauge().limit());
+  return Mix(h, dev.stats().total());
+}
+
 extmem::Status QueryManifest::Bind(const std::vector<storage::Relation>& rels,
                                    std::uint32_t shards) {
   const std::uint64_t fp = FingerprintOf(rels, shards);
@@ -57,15 +91,37 @@ extmem::Status QueryManifest::Bind(const std::vector<storage::Relation>& rels,
   return extmem::Status::Ok();
 }
 
+extmem::Status QueryManifest::BindOrder(const extmem::Device& dev) {
+  const std::uint64_t key = OrderKeyOf(dev);
+  if (watermark_ > 0 && !PhaseCompleted("join") && key != order_key_) {
+    return extmem::Status(
+        extmem::StatusCode::kInvalidInput,
+        "manifest order key mismatch: its watermark of " +
+            std::to_string(watermark_) +
+            " rows counts an emission order recorded under another M, B "
+            "or budget-fault schedule (have " +
+            std::to_string(order_key_) + ", run is " + std::to_string(key) +
+            ")");
+  }
+  order_key_ = key;
+  return extmem::Status::Ok();
+}
+
+void QueryManifest::Rewind() {
+  watermark_ = 0;
+  for (PhaseRecord& p : phases_) {
+    if (p.name == "join") p.completed = false;
+  }
+}
+
 void QueryManifest::MarkPhase(const std::string& name) {
   for (PhaseRecord& p : phases_) {
     if (p.name == name) {
       p.completed = true;
-      p.rows = journal_.rows();
       return;
     }
   }
-  phases_.push_back(PhaseRecord{name, true, journal_.rows()});
+  phases_.push_back(PhaseRecord{name, true});
 }
 
 bool QueryManifest::PhaseCompleted(const std::string& name) const {
@@ -82,36 +138,34 @@ QueryManifest& QueryManifest::Shard(std::uint32_t s) {
 }
 
 void QueryManifest::ReleaseRows() {
-  journal_ = core::EmitJournal();
   for (const std::unique_ptr<QueryManifest>& shard : shards_) {
-    if (shard) shard->ReleaseRows();
+    if (shard) {
+      shard->held_.Clear();
+      shard->Rewind();
+    }
   }
 }
 
 namespace {
 
-void WriteBody(std::ostream& out, const QueryManifest& m);
-
-void WriteJournal(std::ostream& out, const core::EmitJournal& j) {
-  out << "journal " << j.width() << " " << j.rows() << "\n";
-  const std::vector<Value>& data = j.data();
-  for (std::uint64_t r = 0; r < j.rows(); ++r) {
-    for (std::uint32_t c = 0; c < j.width(); ++c) {
+void WriteBody(std::ostream& out, const QueryManifest& m) {
+  out << "fingerprint " << m.fingerprint() << "\n";
+  out << "order " << m.order_key() << "\n";
+  out << "watermark " << m.watermark() << "\n";
+  out << "phases " << m.phases().size() << "\n";
+  for (const PhaseRecord& p : m.phases()) {
+    out << "phase " << (p.completed ? 1 : 0) << " " << p.name << "\n";
+  }
+  const core::RowBuffer& held = m.journal();
+  out << "rows " << held.width() << " " << held.rows() << "\n";
+  for (std::uint64_t r = 0; r < held.rows(); ++r) {
+    const std::span<const Value> row = held.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
       if (c != 0) out << " ";
-      out << data[static_cast<std::size_t>(r) * j.width() + c];
+      out << row[c];
     }
     out << "\n";
   }
-}
-
-void WriteBody(std::ostream& out, const QueryManifest& m) {
-  out << "fingerprint " << m.fingerprint() << "\n";
-  out << "phases " << m.phases().size() << "\n";
-  for (const PhaseRecord& p : m.phases()) {
-    out << "phase " << (p.completed ? 1 : 0) << " " << p.rows << " " << p.name
-        << "\n";
-  }
-  WriteJournal(out, m.journal());
 }
 
 }  // namespace
@@ -139,29 +193,6 @@ extmem::Status QueryManifest::WriteTo(const std::string& path) const {
   return extmem::Status::Ok();
 }
 
-namespace {
-
-extmem::Status ReadJournal(std::istream& in, const std::string& path,
-                           core::EmitJournal* j) {
-  std::string word;
-  std::uint32_t width = 0;
-  std::uint64_t rows = 0;
-  if (!(in >> word) || word != "journal" || !(in >> width) || !(in >> rows)) {
-    return Malformed(path, "expected journal header");
-  }
-  std::vector<Value> data;
-  data.reserve(static_cast<std::size_t>(rows) * width);
-  for (std::uint64_t i = 0; i < rows * width; ++i) {
-    Value v = 0;
-    if (!(in >> v)) return Malformed(path, "truncated journal row data");
-    data.push_back(v);
-  }
-  j->Restore(width, std::move(data));
-  return extmem::Status::Ok();
-}
-
-}  // namespace
-
 extmem::Status QueryManifest::ReadFrom(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -178,6 +209,12 @@ extmem::Status QueryManifest::ReadFrom(const std::string& path) {
     if (!(in >> word) || word != "fingerprint" || !(in >> m->fingerprint_)) {
       return Malformed(path, "expected fingerprint");
     }
+    if (!(in >> word) || word != "order" || !(in >> m->order_key_)) {
+      return Malformed(path, "expected order key");
+    }
+    if (!(in >> word) || word != "watermark" || !(in >> m->watermark_)) {
+      return Malformed(path, "expected watermark");
+    }
     std::size_t nphases = 0;
     if (!(in >> word) || word != "phases" || !(in >> nphases)) {
       return Malformed(path, "expected phase count");
@@ -186,8 +223,7 @@ extmem::Status QueryManifest::ReadFrom(const std::string& path) {
     for (std::size_t i = 0; i < nphases; ++i) {
       PhaseRecord p;
       int completed = 0;
-      if (!(in >> word) || word != "phase" || !(in >> completed) ||
-          !(in >> p.rows)) {
+      if (!(in >> word) || word != "phase" || !(in >> completed)) {
         return Malformed(path, "malformed phase record");
       }
       p.completed = completed != 0;
@@ -197,7 +233,20 @@ extmem::Status QueryManifest::ReadFrom(const std::string& path) {
       p.name = start == std::string::npos ? "" : line.substr(start);
       m->phases_.push_back(std::move(p));
     }
-    return ReadJournal(in, path, &m->journal_);
+    std::uint32_t width = 0;
+    std::uint64_t rows = 0;
+    if (!(in >> word) || word != "rows" || !(in >> width) || !(in >> rows)) {
+      return Malformed(path, "expected held rows header");
+    }
+    m->held_.Clear();
+    std::vector<Value> row(width);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      for (Value& v : row) {
+        if (!(in >> v)) return Malformed(path, "truncated held row data");
+      }
+      m->held_.Append(row);
+    }
+    return extmem::Status::Ok();
   };
 
   if (extmem::Status s = read_body(this); !s.ok()) return s;

@@ -9,35 +9,46 @@ extmem::Result<ResumeReport> TryResumableJoinAuto(
   if (extmem::Status s = manifest->Bind(rels, /*shards=*/1); !s.ok()) {
     return s;
   }
-  core::EmitJournal& journal = manifest->journal();
-  report.watermark_rows = journal.rows();
+  report.watermark_rows = manifest->watermark();
 
   if (manifest->PhaseCompleted("join")) {
     // Nothing to run: the interrupted attempt finished the join and the
-    // journal holds the complete output.
+    // sink has every row.
     report.already_complete = true;
     report.join.algorithm = "resume";
     report.join.reason = "join phase already completed in manifest";
     return report;
   }
+  if (!rels.empty()) {
+    if (extmem::Status s = manifest->BindOrder(*rels.front().device());
+        !s.ok()) {
+      return s;
+    }
+  }
 
-  // The watermark journal wraps the sink: rows the prior attempt already
-  // delivered are suppressed, new rows are journaled then forwarded.
-  // ProcessChunkWithReplan's chunk journals handle replays within a run;
-  // this journal spans attempts.
-  std::uint64_t emitted = 0;
-  const core::EmitFn journaled = core::JournaledEmit(
-      &journal, [&](std::span<const Value> row) {
-        ++emitted;
-        emit(row);
-      });
+  // The skip: the join emits the rows of the interrupted attempt first,
+  // in the same order, so dropping the first `watermark` rows suppresses
+  // exactly what the sink already has. ProcessChunkWithReplan's chunk
+  // journals handle replays within a run; the count spans attempts.
+  std::uint64_t ordinal = 0;
+  const core::EmitFn skipping = [&](std::span<const Value> row) {
+    if (!manifest->Deliver(ordinal++)) return;
+    ++report.emitted_rows;
+    emit(row);
+  };
   extmem::Result<core::AutoJoinReport> joined =
-      core::TryJoinAuto(rels, journaled);
-  report.emitted_rows = emitted;
+      core::TryJoinAuto(rels, skipping);
   if (!joined.ok()) {
-    // The manifest now holds everything delivered up to the fault — the
-    // caller persists it and the next attempt resumes from here.
+    // The watermark now counts everything delivered up to the fault —
+    // the caller persists it and the next attempt resumes from here.
     return joined.status();
+  }
+  if (ordinal < report.watermark_rows) {
+    return extmem::Status(
+        extmem::StatusCode::kInvalidInput,
+        "manifest watermark of " + std::to_string(report.watermark_rows) +
+            " rows exceeds the query's " + std::to_string(ordinal) +
+            " result rows");
   }
   report.join = *joined;
   manifest->MarkPhase("join");

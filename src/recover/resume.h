@@ -13,7 +13,8 @@
 namespace emjoin::recover {
 
 struct ResumeReport {
-  /// Rows the manifest already held when this attempt started.
+  /// The manifest's watermark when this attempt started: rows the sink
+  /// had already received.
   std::uint64_t watermark_rows = 0;
   /// New rows this attempt delivered to the sink.
   std::uint64_t emitted_rows = 0;
@@ -25,16 +26,18 @@ struct ResumeReport {
 
 /// JoinAuto made whole-query resumable (K = 1; sharded execution wires
 /// the manifest through parallel::ParallelOptions instead). Binds
-/// `manifest` to the query (fingerprint check), routes every emitted row
-/// through the manifest's watermark journal — suppressing rows a prior
-/// interrupted attempt already delivered — and marks the "join" phase
-/// complete on success, so a further resume replays from the journal
-/// without re-running anything. Rows of the watermark are never
-/// re-delivered here; a caller with a fresh sink replays the journal
-/// after binding (run::Runner's replay_watermark). The manifest is
-/// updated in place on BOTH success and failure; persisting it after a
-/// failed attempt (QueryManifest::WriteTo) is exactly what makes the
-/// next attempt a resume instead of a restart.
+/// `manifest` to the query (fingerprint check) and to the device's
+/// emission order (QueryManifest::BindOrder), runs the join, drops the
+/// first `watermark` rows it emits — a prior interrupted attempt
+/// delivered exactly those — and counts every later row into the
+/// watermark before it reaches `emit`. On success it marks the "join"
+/// phase complete, so a further resume runs nothing. The manifest never
+/// holds a row; a caller whose sink starts empty rewinds the watermark
+/// after binding (run::Runner's replay_watermark) and the join
+/// re-derives every row. The manifest is updated in place on BOTH
+/// success and failure; persisting it after a failed attempt
+/// (QueryManifest::WriteTo) is exactly what makes the next attempt a
+/// resume instead of a restart.
 [[nodiscard]] extmem::Result<ResumeReport> TryResumableJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
     QueryManifest* manifest);

@@ -93,14 +93,14 @@ extmem::Result<RunReport> Runner::Join(
   RunReport report;
   trace::Span join_span(&device_, "join");
   if (ctx_.manifest != nullptr) {
-    // Bind before replaying: a manifest recorded for another query (or
-    // another shard count) must fail before any of its rows go out.
+    // Bind before rewinding: a manifest recorded for another query (or
+    // another shard count) must fail unchanged, before any row goes out.
     if (extmem::Status s = ctx_.manifest->Bind(
             relations_, std::max<std::uint32_t>(ctx_.shards, 1));
         !s.ok()) {
       return s;
     }
-    if (ctx_.replay_watermark) ctx_.manifest->journal().ReplayInto(emit);
+    if (ctx_.replay_watermark) ctx_.manifest->Rewind();
   }
   if (ctx_.yannakakis) {
     const auto joined = core::TryYannakakisJoin(relations_, emit);

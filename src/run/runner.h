@@ -46,8 +46,10 @@ struct RunContext {
   bool faults = false;
   extmem::FaultConfig fault_config;
 
-  /// Whole-query checkpoint. `replay_watermark` delivers the rows it
-  /// already holds, after the bind, to a sink that missed them.
+  /// Whole-query checkpoint. `replay_watermark` is for a sink that
+  /// starts empty: the manifest's watermark is rewound after the bind,
+  /// so the join re-derives and delivers every row, including those an
+  /// earlier attempt delivered.
   recover::QueryManifest* manifest = nullptr;
   bool replay_watermark = false;
 
@@ -63,14 +65,15 @@ struct RunContext {
 struct RunReport {
   core::AutoJoinReport join;
   /// Sharded runs: partition and per-shard totals. For K = 1,
-  /// `parallel.results` counts the rows newly emitted (after any replay).
+  /// `parallel.results` counts the rows this run delivered to the sink
+  /// (past the watermark it resumed from).
   parallel::ParallelJoinReport parallel;
 };
 
 /// The one query runner behind emjoin_cli, the emjoin_serve daemon and
 /// the soak. It owns the device with its observers and injector. Run()
 /// loads the inputs under a "load" span, rejects cyclic queries, sets
-/// the telemetry phase plan, binds the manifest and only then replays
+/// the telemetry phase plan, binds the manifest and only then rewinds
 /// its watermark, joins under a "join" span, and collects the device and
 /// fault totals into `metrics` on every exit path. The device, injector
 /// and relations stay readable after Run() returns.

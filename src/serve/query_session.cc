@@ -131,7 +131,7 @@ void QuerySession::AbsorbAttempt(const metrics::Registry& attempt_registry,
                                  const extmem::IoStats& io,
                                  const extmem::FaultStats& faults,
                                  const extmem::Status& status) {
-  const std::uint64_t rows = manifest_.journal().rows();
+  const std::uint64_t rows = manifest_.watermark();
   if (status.ok()) manifest_.ReleaseRows();
   const std::lock_guard<std::mutex> lock(mu_);
   registry_.MergeFrom(attempt_registry);

@@ -107,10 +107,10 @@ class QuerySession {
 
   /// Folds one finished attempt into the session: merges the attempt's
   /// thread-confined registry, sums device I/O and fault tallies, and
-  /// records the manifest's journaled row total and (on failure) the
-  /// error text. On success the manifest's rows are released: a
-  /// completed session keeps its row count, not its rows, so call this
-  /// after the manifest is persisted.
+  /// records the manifest's watermark (rows delivered so far) and (on
+  /// failure) the error text. On success the shards' held rows are
+  /// released: a completed session keeps its row count, not its rows,
+  /// so call this after the manifest is persisted.
   void AbsorbAttempt(const metrics::Registry& attempt_registry,
                      const extmem::IoStats& io,
                      const extmem::FaultStats& faults,

@@ -36,8 +36,11 @@ namespace emjoin::serve {
 /// `output` is a host-side CSV file receiving one result row per line
 /// (empty: results are counted but not materialized). Across a
 /// kill/resume cycle the first attempt truncates and later attempts
-/// append; the manifest's output watermark deduplicates, so the file's
-/// final contents equal the uninterrupted run's exactly.
+/// append past the manifest's output watermark (the count of rows
+/// already written), so the file's final contents equal the
+/// uninterrupted run's exactly. While rows remain to be skipped, a
+/// resume re-submitted with another `memory` or `block` would emit them
+/// in another order, so it fails.
 struct QuerySpec {
   std::string id;
   TupleCount memory = 4096;

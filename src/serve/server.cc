@@ -395,8 +395,8 @@ std::string Server::Submit(const std::string& body,
                  QueryStateName(session->state()) +
                  "\", \"error\": \"query is still live\"}\n";
         case QueryState::kCompleted: {
-          // Idempotent completion: the journal already delivered every
-          // row exactly once; re-running would duplicate the output.
+          // Idempotent completion: every row was already delivered
+          // exactly once; re-running would duplicate the output.
           *http_status = "200 OK";
           const QuerySessionSnapshot snap = session->Snapshot();
           return "{\"id\": " + JsonQuote(id) +
@@ -421,7 +421,7 @@ std::string Server::Submit(const std::string& body,
         if (probe.ReadFrom(ManifestPathFor(id)).ok()) {
           const extmem::Status loaded =
               session->manifest().ReadFrom(ManifestPathFor(id));
-          resumed = loaded.ok() && session->manifest().journal().rows() > 0;
+          resumed = loaded.ok() && session->manifest().watermark() > 0;
         }
       }
     }
@@ -524,11 +524,11 @@ void Server::RunSession(QuerySession* session) {
   const auto open_output = [&]() -> extmem::Status {
     if (spec.output_path.empty()) return extmem::Status::Ok();
     // The first attempt truncates; resumed attempts append. The
-    // manifest journal suppresses rows earlier attempts already
-    // delivered, so the file's union is the exact uninterrupted output
-    // with zero duplicates.
+    // resumed join skips the rows the manifest's watermark counts as
+    // delivered, so the file ends byte-identical to the uninterrupted
+    // output.
     const bool fresh_output =
-        session->attempts() == 1 && session->manifest().journal().rows() == 0;
+        session->attempts() == 1 && session->manifest().watermark() == 0;
     out = std::fopen(spec.output_path.c_str(), fresh_output ? "w" : "a");
     if (out == nullptr) {
       return extmem::Status(extmem::StatusCode::kIoError,
@@ -556,7 +556,7 @@ void Server::RunSession(QuerySession* session) {
     // Best-effort persistence after every attempt: this is what makes
     // a killed query resumable across daemon restarts, not just across
     // re-submissions to this process. It runs before AbsorbAttempt
-    // releases a completed session's rows, so the file keeps them.
+    // releases a completed session's held shard rows.
     const extmem::Status persisted =
         session->manifest().WriteTo(ManifestPathFor(session->id()));
     static_cast<void>(persisted);

@@ -58,9 +58,10 @@ struct ServerOptions {
 /// Admission: each query's memory budget (spec `memory`) is reserved
 /// against AdmissionConfig::memory_budget; non-fitting queries wait in
 /// a FIFO queue surfaced as gauges. Re-submitting a killed or failed id
-/// resumes from that session's QueryManifest — completed phases and
-/// journaled rows are never re-done, so the output file's final
-/// contents are exactly the uninterrupted run's (zero duplicate emits).
+/// resumes from that session's QueryManifest — completed phases are
+/// never re-done and rows under its watermark are never re-delivered,
+/// so the output file's final contents are exactly the uninterrupted
+/// run's (zero duplicate emits).
 ///
 /// Every request is appended to a structured JSONL log stamped with a
 /// sequence number and the daemon's virtual I/O clock (the sum of all

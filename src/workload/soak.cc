@@ -371,7 +371,7 @@ std::string ReplayLine(const SoakPlan& plan, const SoakOutcome& outcome) {
 
 KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
   // A seed-derived join plan (joins only; the kill switch targets the
-  // manifest-journaled query path). Decoupled from PlanFromSeed so the
+  // manifest-resumed query path). Decoupled from PlanFromSeed so the
   // fault-soak replay space is untouched.
   SoakPlan plan;
   plan.seed = seed;
@@ -394,9 +394,12 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
   plan.shards = std::max<std::uint32_t>(shards, 1);
   plan.workers = plan.shards > 1 ? 2 : 1;
 
+  // `seq` is order-sensitive: a capture that starts from another's seq
+  // hashes the concatenation of both attempts' row sequences.
   struct Capture {
     std::uint64_t rows = 0;
     std::uint64_t set = 0;
+    std::uint64_t seq = kFnvOffset;
   };
   // One attempt: fresh device + rebuilt inputs every time, so only the
   // manifest carries state across attempts (exactly the resume story).
@@ -414,6 +417,8 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
     const auto report = runner.Run([cap](std::span<const Value> row) {
       ++cap->rows;
       cap->set += RowFnv(row);
+      for (Value v : row) HashValue(&cap->seq, v);
+      HashRowEnd(&cap->seq);
     });
     if (clock_bound != nullptr) {
       *clock_bound = std::max<std::uint64_t>(
@@ -440,7 +445,8 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
   }
   out.kill_tick = 1 + rng() % (clock_bound - 1);
 
-  // (2) Interrupted run: kill at the tick, journal into the manifest.
+  // (2) Interrupted run: kill at the tick; the manifest counts the rows
+  // delivered before it.
   recover::QueryManifest manifest;
   Capture interrupted;
   const extmem::Status killed =
@@ -450,7 +456,9 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
     // The tick landed past this configuration's clock (possible when the
     // baseline bound covers a different device than the one that ran
     // longest); the run completed — it must still match the baseline.
-    out.ok = interrupted.rows == baseline.rows && interrupted.set == baseline.set;
+    out.ok = interrupted.rows == baseline.rows &&
+             interrupted.set == baseline.set &&
+             interrupted.seq == baseline.seq;
     if (!out.ok) out.detail = "uninterrupted-with-manifest output mismatch";
     return out;
   }
@@ -460,8 +468,10 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
   }
   out.interrupted = true;
 
-  // (3) Resume from the manifest: no faults, fresh device + inputs.
+  // (3) Resume from the manifest: no faults, fresh device + inputs. The
+  // resumed rows continue the interrupted run's sequence hash.
   Capture resumed;
+  resumed.seq = interrupted.seq;
   if (extmem::Status s = attempt(&manifest, 0, &resumed, nullptr); !s.ok()) {
     out.detail = "resume failed: " + s.ToString();
     return out;
@@ -470,10 +480,16 @@ KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards) {
 
   // The contract: both attempts together delivered every baseline row
   // exactly once — counts add up and the commutative multiset hash over
-  // the union equals the baseline's (no duplicates, nothing missing).
+  // the union equals the baseline's (no duplicates, nothing missing) —
+  // and in the baseline's order: the interrupted rows followed by the
+  // resumed ones are the baseline's row sequence.
   if (interrupted.rows + resumed.rows != baseline.rows ||
       interrupted.set + resumed.set != baseline.set) {
     out.detail = "resumed union differs from baseline";
+    return out;
+  }
+  if (resumed.seq != baseline.seq) {
+    out.detail = "interrupted + resumed row sequence differs from baseline";
     return out;
   }
   out.ok = true;

@@ -82,10 +82,11 @@ std::string ReplayLine(const SoakPlan& plan, const SoakOutcome& outcome);
 
 /// Kill-and-resume soak: runs a seed-derived join three times — (1) an
 /// uninterrupted baseline, (2) a run interrupted at a seed-derived
-/// virtual-I/O tick (FaultConfig::kill_at_ios) journaling into a
-/// QueryManifest, (3) a resume from that manifest — and checks that the
-/// rows delivered before the kill plus the rows the resume delivered are
-/// exactly the baseline output set with zero duplicate emits.
+/// virtual-I/O tick (FaultConfig::kill_at_ios) with a QueryManifest
+/// counting its delivered rows, (3) a resume from that manifest — and
+/// checks that the rows delivered before the kill followed by the rows
+/// the resume delivered are exactly the baseline's row sequence: the
+/// same set, in the same order, with zero duplicate emits.
 struct KillResumeOutcome {
   bool ok = false;
   /// What went wrong when !ok; everything needed to replay when ok.

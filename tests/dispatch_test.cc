@@ -78,7 +78,9 @@ TEST(JoinAutoTest, RoutesUnbalancedL5ToAlgorithm4) {
   ExpectAutoMatches(rels, "LineJoinUnbalanced5");
 }
 
-TEST(JoinAutoTest, RoutesUnbalancedL6ToNestedLoopComposition) {
+// Full reduction leaves every L3 with N2 <= N1 * N3, so an unbalanced
+// L6 always has a balanced k = 3 split and runs Algorithm 2 (Theorem 6).
+TEST(JoinAutoTest, RoutesUnbalancedL6ThroughItsBalancedSplit) {
   extmem::Device dev(8, 2);
   // Unbalanced L5 prefix extended with a sixth relation on v6.
   auto rels = workload::UnbalancedL5(&dev, 4, 4, {2, 12, 8, 2});
@@ -88,10 +90,8 @@ TEST(JoinAutoTest, RoutesUnbalancedL6ToNestedLoopComposition) {
   CollectingSink sink;
   const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
-  EXPECT_TRUE(report.algorithm == "L6=NL(R6, Alg4)" ||
-              report.algorithm == "L6=NL(R1, Alg4)" ||
-              report.algorithm == "AcyclicJoin")
-      << report.algorithm;
+  EXPECT_EQ(report.algorithm, "AcyclicJoin");
+  EXPECT_EQ(report.reason, "L6 with a balanced split (Theorem 6)");
 }
 
 TEST(JoinAutoTest, GeneralAcyclicFallsBackToAlgorithm2) {

@@ -198,10 +198,10 @@ TEST(IoInvariance, TracerChangesNoCharges) {
   EXPECT_EQ(roots, dev.stats() - before_join);
 }
 
-// The recovery layer's manifest and output watermark are host-side
-// state, exactly like the tracer: routing Golden C's emissions through
-// a journaled EmitFn (the manifest's watermark) must change zero block
-// charges — fault-free golden counts stay pinned with recovery attached.
+// The chunk guard's EmitJournal is host-side state, exactly like the
+// tracer: routing Golden C's emissions through a journaled EmitFn must
+// change zero block charges — fault-free golden counts stay pinned with
+// the guard attached.
 TEST(IoInvariance, EmitJournalChangesNoCharges) {
   extmem::Device dev(256, 16);
   const query::JoinQuery q = query::JoinQuery::Line(3);

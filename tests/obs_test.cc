@@ -658,5 +658,23 @@ TEST(HttpExporter, RestartAfterStopBindsAFreshPort) {
             std::string::npos);
 }
 
+// Stop wakes the serve loop instead of waiting out its 100 ms poll
+// round, so a server restarted after every few queries (perfbench's
+// skewed_served does) stops in about the time it takes to join a thread.
+TEST(HttpExporter, StopDoesNotWaitOutAPollRound) {
+  obs::Telemetry telemetry;
+  obs::HttpExporter exporter(&telemetry);
+  std::chrono::steady_clock::duration stopping{};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(exporter.Start(0).ok());
+    // Let the serve loop settle into its poll().
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto before = std::chrono::steady_clock::now();
+    exporter.Stop();
+    stopping += std::chrono::steady_clock::now() - before;
+  }
+  EXPECT_LT(stopping, std::chrono::milliseconds(100));
+}
+
 }  // namespace
 }  // namespace emjoin

@@ -1,9 +1,10 @@
-// Tests for the whole-query recovery layer: the EmitJournal output
-// watermark, QueryManifest persistence, resumable joins (serial and
-// sharded, including kill-and-resume soaking), adaptive retry mode
-// derivation, saturating FaultStats deltas, backoff saturation,
-// recovery metrics export, and graceful degradation of every operator
-// family under an adversarial budget shrink to the 4B floor.
+// Tests for the whole-query recovery layer: the chunk guard's
+// EmitJournal, the sharded barrier's RowBuffer, QueryManifest
+// persistence, resumable joins (serial and sharded, including
+// kill-and-resume soaking and the order key a watermark counts in),
+// adaptive retry mode derivation, saturating FaultStats deltas, backoff
+// saturation, recovery metrics export, and graceful degradation of every
+// operator family under an adversarial budget shrink to the 4B floor.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -22,8 +23,10 @@
 #include "parallel/parallel_join.h"
 #include "recover/manifest.h"
 #include "recover/resume.h"
+#include "run/runner.h"
 #include "storage/relation.h"
 #include "workload/constructions.h"
+#include "workload/random_instance.h"
 #include "workload/soak.h"
 
 namespace emjoin {
@@ -32,6 +35,7 @@ namespace {
 using core::CollectingSink;
 using core::CountingSink;
 using core::EmitJournal;
+using core::RowBuffer;
 using extmem::CatchStatus;
 using extmem::FaultConfig;
 using extmem::FaultInjector;
@@ -49,7 +53,7 @@ std::vector<Row> Sorted(std::vector<Row> rows) {
 }
 
 // ---------------------------------------------------------------------
-// EmitJournal: the output watermark
+// EmitJournal (the chunk guard's dedup) and RowBuffer (a shard's rows)
 // ---------------------------------------------------------------------
 
 TEST(EmitJournalTest, RecordForwardsNewRowsAndSuppressesReplays) {
@@ -61,35 +65,32 @@ TEST(EmitJournalTest, RecordForwardsNewRowsAndSuppressesReplays) {
   EXPECT_EQ(j.width(), 2u);
 }
 
-TEST(EmitJournalTest, ReplayPreservesFirstEmissionOrder) {
-  EmitJournal j;
+TEST(EmitJournalTest, HashIsOrderSensitive) {
   const std::vector<Row> rows = {{5, 1}, {2, 7}, {0, 0}};
+  EmitJournal j;
   for (const Row& r : rows) j.Record(r);
-
-  CollectingSink sink;
-  j.ReplayInto(sink.AsEmitFn());
-  EXPECT_EQ(sink.results(), rows);
-
-  // The hash is order-sensitive: the same rows journaled in a different
-  // order disagree.
+  // The same rows journaled in a different order disagree.
   EmitJournal reversed;
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) reversed.Record(*it);
   EXPECT_EQ(reversed.rows(), j.rows());
   EXPECT_NE(reversed.hash(), j.hash());
 }
 
-TEST(EmitJournalTest, RestoreRoundTripsTheFlatRowStore) {
-  EmitJournal j;
-  j.Record(Row{1, 2});
-  j.Record(Row{3, 4});
+TEST(RowBufferTest, ReplayPreservesAppendOrder) {
+  const std::vector<Row> rows = {{5, 1}, {2, 7}, {0, 0}, {5, 1}};
+  RowBuffer b;
+  for (const Row& r : rows) b.Append(r);
+  // No dedup: the buffer holds what it was given, in order.
+  ASSERT_EQ(b.rows(), rows.size());
+  EXPECT_EQ(b.width(), 2u);
+  for (std::uint64_t i = 0; i < b.rows(); ++i) {
+    EXPECT_EQ(Row(b.row(i).begin(), b.row(i).end()), rows[i]) << "row " << i;
+  }
+  EXPECT_EQ(b.data().size(), rows.size() * 2);
 
-  EmitJournal copy;
-  copy.Restore(j.width(), j.data());
-  EXPECT_EQ(copy.rows(), j.rows());
-  EXPECT_EQ(copy.hash(), j.hash());
-  // The rebuilt index still deduplicates.
-  EXPECT_FALSE(copy.Record(Row{3, 4}));
-  EXPECT_TRUE(copy.Record(Row{5, 6}));
+  b.Clear();
+  EXPECT_EQ(b.rows(), 0u);
+  EXPECT_TRUE(b.data().empty());
 }
 
 TEST(EmitJournalTest, JournaledEmitDeliversEachRowOnce) {
@@ -129,12 +130,14 @@ TEST(QueryManifestTest, PhasesAndShardJournalsRoundTripThroughDisk) {
 
   QueryManifest m;
   ASSERT_TRUE(m.Bind(rels, 2).ok());
-  m.journal().Record(Row{1, 0, 0, 2});
-  m.journal().Record(Row{3, 0, 0, 4});
+  ASSERT_TRUE(m.BindOrder(dev).ok());
+  EXPECT_TRUE(m.Deliver(0));
+  EXPECT_TRUE(m.Deliver(1));
   m.MarkPhase("join");
-  m.Shard(0).journal().Record(Row{1, 0, 0, 2});
+  m.Shard(0).journal().Append(Row{1, 0, 0, 2});
   m.Shard(0).MarkPhase("join");
-  m.Shard(1).journal().Record(Row{3, 0, 0, 4});
+  m.Shard(1).journal().Append(Row{3, 0, 0, 4});
+  m.Shard(1).journal().Append(Row{5, 0, 0, 6});
 
   const std::string path = testing::TempDir() + "/recover_roundtrip.manifest";
   ASSERT_TRUE(m.WriteTo(path).ok());
@@ -143,13 +146,17 @@ TEST(QueryManifestTest, PhasesAndShardJournalsRoundTripThroughDisk) {
   ASSERT_TRUE(loaded.ReadFrom(path).ok());
   EXPECT_EQ(loaded.fingerprint(), m.fingerprint());
   EXPECT_TRUE(loaded.Bind(rels, 2).ok());  // fingerprint still verifies
+  EXPECT_EQ(loaded.order_key(), recover::OrderKeyOf(dev));
   EXPECT_TRUE(loaded.PhaseCompleted("join"));
-  EXPECT_EQ(loaded.journal().rows(), 2u);
-  EXPECT_EQ(loaded.journal().hash(), m.journal().hash());
+  EXPECT_EQ(loaded.watermark(), 2u);
+  EXPECT_EQ(loaded.journal().rows(), 0u);  // the query level holds none
   ASSERT_EQ(loaded.shard_count(), 2u);
   EXPECT_TRUE(loaded.Shard(0).PhaseCompleted("join"));
   EXPECT_FALSE(loaded.Shard(1).PhaseCompleted("join"));
-  EXPECT_EQ(loaded.Shard(1).journal().hash(), m.Shard(1).journal().hash());
+  EXPECT_EQ(loaded.Shard(0).journal().data(), m.Shard(0).journal().data());
+  EXPECT_EQ(loaded.Shard(1).journal().rows(), 2u);
+  EXPECT_EQ(loaded.Shard(1).journal().width(), 4u);
+  EXPECT_EQ(loaded.Shard(1).journal().data(), m.Shard(1).journal().data());
 }
 
 TEST(QueryManifestTest, ReadErrorsAreTypedNotFatal) {
@@ -161,6 +168,14 @@ TEST(QueryManifestTest, ReadErrorsAreTypedNotFatal) {
   std::ofstream(path) << "not a manifest at all\n";
   QueryManifest g;
   EXPECT_EQ(g.ReadFrom(path).code(), StatusCode::kInvalidInput);
+
+  // A v1 manifest journaled its rows; it reads as malformed, so its
+  // query restarts from scratch.
+  const std::string v1 = testing::TempDir() + "/recover_v1.manifest";
+  std::ofstream(v1) << "emjoin-manifest v1\nfingerprint 7\nphases 0\n"
+                       "journal 2 1\n1 2\nshards 0\nend\n";
+  QueryManifest old;
+  EXPECT_EQ(old.ReadFrom(v1).code(), StatusCode::kInvalidInput);
 }
 
 // ---------------------------------------------------------------------
@@ -180,7 +195,23 @@ TEST(ResumeTest, FreshRunJournalsEveryRowAndMarksThePhase) {
   EXPECT_EQ(r->emitted_rows, 30u);  // n1 * n3
   EXPECT_EQ(sink.count(), 30u);
   EXPECT_TRUE(m.PhaseCompleted("join"));
-  EXPECT_EQ(m.journal().rows(), 30u);
+  EXPECT_EQ(m.watermark(), 30u);
+}
+
+// The emit model holds for the manifest too: a serial resumable run
+// counts its rows and keeps none of them, however many it delivers.
+TEST(ResumeTest, SerialManifestCountsRowsAndHoldsNone) {
+  extmem::Device dev(256, 16);
+  const auto rels = workload::L3WorstCase(&dev, 100, 1, 100);
+
+  QueryManifest m;
+  CountingSink sink;
+  const auto r = recover::TryResumableJoinAuto(rels, sink.AsEmitFn(), &m);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(sink.count(), 10000u);
+  EXPECT_EQ(m.watermark(), sink.count());
+  EXPECT_EQ(m.journal().rows(), 0u);
+  EXPECT_TRUE(m.journal().data().empty());
 }
 
 TEST(ResumeTest, CompletedManifestSkipsAllWorkAndReplaysOnRequest) {
@@ -229,7 +260,7 @@ TEST(ResumeTest, KilledRunResumesWithZeroDuplicateEmits) {
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kIoError);
   EXPECT_FALSE(m.PhaseCompleted("join"));
-  EXPECT_EQ(m.journal().rows(), pre.results().size());
+  EXPECT_EQ(m.watermark(), pre.results().size());
 
   // Resume against the same manifest. The kill switch fires at most
   // once, so the still-attached injector is inert now.
@@ -247,38 +278,59 @@ TEST(ResumeTest, KilledRunResumesWithZeroDuplicateEmits) {
 }
 
 TEST(ResumeTest, PartialWatermarkSuppressesExactlyTheJournaledRows) {
-  // Baseline output set.
+  // Baseline output sequence.
   extmem::Device base_dev(256, 16);
   const auto base_rels = workload::L3WorstCase(&base_dev, 6, 1, 5);
   CollectingSink all;
   ASSERT_TRUE(core::TryJoinAuto(base_rels, all.AsEmitFn()).ok());
   ASSERT_EQ(all.results().size(), 30u);
 
-  // Simulate an attempt that crashed mid-emit: the manifest holds a
-  // watermark of the first 7 rows but no completed phase.
+  // Simulate an attempt that crashed mid-emit: the manifest's watermark
+  // counts the first 7 rows, and no phase is complete.
   extmem::Device dev(256, 16);
   const auto rels = workload::L3WorstCase(&dev, 6, 1, 5);
   QueryManifest m;
   ASSERT_TRUE(m.Bind(rels, 1).ok());
-  for (std::size_t i = 0; i < 7; ++i) m.journal().Record(all.results()[i]);
+  ASSERT_TRUE(m.BindOrder(dev).ok());
+  for (std::uint64_t i = 0; i < 7; ++i) ASSERT_TRUE(m.Deliver(i));
 
   CollectingSink rest;
   const auto r = recover::TryResumableJoinAuto(rels, rest.AsEmitFn(), &m);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->watermark_rows, 7u);
   EXPECT_EQ(rest.results().size(), 23u);  // exactly the remainder
+  EXPECT_EQ(m.watermark(), 30u);
 
-  // Watermark + remainder is the full baseline set, no duplicates.
+  // Watermark + remainder is the baseline sequence, no duplicates.
   std::vector<Row> merged(all.results().begin(), all.results().begin() + 7);
   merged.insert(merged.end(), rest.results().begin(), rest.results().end());
-  EXPECT_EQ(Sorted(std::move(merged)), Sorted(all.results()));
+  EXPECT_EQ(merged, all.results());
+}
+
+// The fingerprint covers shapes and sizes, not contents: a watermark
+// past the query's whole output means the manifest counted another
+// instance's rows, and the resume fails instead of completing short.
+TEST(ResumeTest, WatermarkPastTheOutputIsRefused) {
+  extmem::Device dev(256, 16);
+  const auto rels = workload::L3WorstCase(&dev, 6, 1, 5);
+  QueryManifest m;
+  ASSERT_TRUE(m.Bind(rels, 1).ok());
+  ASSERT_TRUE(m.BindOrder(dev).ok());
+  for (std::uint64_t i = 0; i < 31; ++i) ASSERT_TRUE(m.Deliver(i));
+
+  CountingSink sink;
+  const auto r = recover::TryResumableJoinAuto(rels, sink.AsEmitFn(), &m);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(sink.count(), 0u);
+  EXPECT_EQ(m.watermark(), 31u);
+  EXPECT_FALSE(m.PhaseCompleted("join"));
 }
 
 TEST(ResumeTest, ShardedManifestSkipsCompletedShardsOnResume) {
   extmem::Device dev(1024, 16);
   const auto rels = workload::L3WorstCase(&dev, 24, 1, 8);
 
-  // Fresh sharded run, journaling into a manifest.
+  // Fresh sharded run, holding each shard's rows in its child manifest.
   QueryManifest m;
   parallel::ParallelOptions options;
   options.shards = 4;
@@ -289,20 +341,178 @@ TEST(ResumeTest, ShardedManifestSkipsCompletedShardsOnResume) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->sharded);
   EXPECT_EQ(first.results().size(), 192u);  // n1 * n3
-  EXPECT_EQ(m.journal().rows(), 192u);
+  EXPECT_EQ(m.watermark(), 192u);
+  EXPECT_EQ(m.journal().rows(), 0u);
   ASSERT_EQ(m.shard_count(), 4u);
+  std::uint64_t held = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_TRUE(m.Shard(s).PhaseCompleted("join")) << "shard " << s;
+    held += m.Shard(s).journal().rows();
   }
+  EXPECT_EQ(held, 192u);  // each row once, in its shard
 
   // Re-running with the completed manifest re-derives nothing: every
-  // shard skips, and the query journal suppresses the barrier replay.
+  // shard skips, and the watermark skips the whole barrier.
   CollectingSink again;
   const auto rr =
       parallel::TryParallelJoinAuto(rels, again.AsEmitFn(), options);
   ASSERT_TRUE(rr.ok()) << rr.status().ToString();
   EXPECT_EQ(again.results().size(), 0u);
-  EXPECT_EQ(m.journal().rows(), 192u);
+  EXPECT_EQ(m.watermark(), 192u);
+  for (const parallel::ShardReport& sr : rr->per_shard) {
+    EXPECT_EQ(sr.report.algorithm, "resume");
+  }
+}
+
+// ---------------------------------------------------------------------
+// The order a watermark counts in
+// ---------------------------------------------------------------------
+
+// A seeded L3 at M = 128, B = 8 through the query runner, large enough
+// that a shrunken budget re-plans its chunks.
+run::RunContext ShrinkContext(const FaultConfig& config) {
+  run::RunContext ctx;
+  ctx.memory = 128;
+  ctx.block = 8;
+  ctx.build = [](extmem::Device* dev) {
+    workload::RandomOptions opts;
+    opts.seed = 31;
+    opts.domain_size = 24;
+    return workload::RandomInstance(dev, query::JoinQuery::Line(3),
+                                    {240, 240, 240}, opts);
+  };
+  ctx.faults = true;
+  ctx.fault_config = config;
+  return ctx;
+}
+
+struct Attempt {
+  extmem::Status status;
+  std::vector<Row> rows;
+  std::uint64_t shrinks = 0;
+  std::uint64_t loaded_ios = 0;  // the device clock when the join starts
+  std::uint64_t ios = 0;
+};
+
+Attempt RunAttempt(run::RunContext ctx, QueryManifest* manifest) {
+  ctx.manifest = manifest;
+  run::Runner runner(std::move(ctx));
+  Attempt a;
+  CollectingSink sink;
+  const auto report = runner.Run(sink.AsEmitFn(), [&] {
+    a.loaded_ios = runner.device().stats().total();
+    return extmem::Status::Ok();
+  });
+  if (!report.ok()) a.status = report.status();
+  a.rows = std::move(sink.results());
+  a.shrinks = runner.injector()->stats().shrinks;
+  a.ios = runner.device().stats().total();
+  return a;
+}
+
+// A tick that interrupts `config`'s run mid-join, after some rows went
+// out. Not every tick does: a kill inside a sort merge pass is retried by
+// the sorter, and the run completes.
+std::uint64_t MidJoinKillTick(const FaultConfig& config, const Attempt& whole) {
+  for (const std::uint64_t eighths : {4, 5, 3, 6, 2, 7}) {
+    FaultConfig killing = config;
+    killing.kill_at_ios =
+        whole.loaded_ios + (whole.ios - whole.loaded_ios) * eighths / 8;
+    const Attempt killed = RunAttempt(ShrinkContext(killing), nullptr);
+    if (killed.status.code() == StatusCode::kIoError &&
+        !killed.rows.empty()) {
+      return killing.kill_at_ios;
+    }
+  }
+  ADD_FAILURE() << "no tick interrupts the join after its first row";
+  return 0;
+}
+
+// The premise of the count: under every shrink mode, an attempt killed
+// mid-join and resumed with the same fault configuration delivers the
+// uninterrupted run's row *sequence*, so skipping the first watermark
+// rows skips exactly what the sink has.
+TEST(ResumeOrder, KilledUnderEveryShrinkModeResumesTheSameSequence) {
+  const Attempt plain = RunAttempt(ShrinkContext({}), nullptr);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  const std::uint64_t join_ios = plain.ios - plain.loaded_ios;
+  ASSERT_GT(join_ios, 8u);
+
+  FaultConfig at_ios;
+  at_ios.shrink_at_ios = {plain.loaded_ios + join_ios / 8,
+                          plain.loaded_ios + join_ios / 3};
+  FaultConfig every_poll;
+  every_poll.shrink_every_poll = true;
+  FaultConfig prob;
+  prob.seed = 4;
+  prob.shrink_prob = 0.2;
+  for (const FaultConfig& config : {at_ios, every_poll, prob}) {
+    const Attempt whole = RunAttempt(ShrinkContext(config), nullptr);
+    ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+    EXPECT_GT(whole.shrinks, 0u);
+    ASSERT_EQ(Sorted(whole.rows), Sorted(plain.rows));
+
+    FaultConfig killing = config;
+    killing.kill_at_ios = MidJoinKillTick(config, whole);
+    QueryManifest m;
+    const Attempt killed = RunAttempt(ShrinkContext(killing), &m);
+    ASSERT_EQ(killed.status.code(), StatusCode::kIoError);
+    EXPECT_FALSE(killed.rows.empty());
+    EXPECT_LT(killed.rows.size(), whole.rows.size());
+
+    const Attempt resumed = RunAttempt(ShrinkContext(config), &m);
+    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+    std::vector<Row> both = killed.rows;
+    both.insert(both.end(), resumed.rows.begin(), resumed.rows.end());
+    EXPECT_EQ(both, whole.rows);
+  }
+}
+
+// A partial watermark counts rows of one emission order. A resume whose
+// order key differs (another M, or another shrink schedule) is refused
+// before any row goes out, and the watermark is left as it was.
+TEST(ResumeOrder, PartialWatermarkUnderAnotherOrderKeyIsRefused) {
+  const Attempt plain = RunAttempt(ShrinkContext({}), nullptr);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+
+  FaultConfig killing;
+  killing.kill_at_ios = MidJoinKillTick({}, plain);
+  QueryManifest m;
+  ASSERT_EQ(RunAttempt(ShrinkContext(killing), &m).status.code(),
+            StatusCode::kIoError);
+  const std::uint64_t watermark = m.watermark();
+  ASSERT_GT(watermark, 0u);
+
+  run::RunContext bigger = ShrinkContext({});
+  bigger.memory = 256;
+  const Attempt other_m = RunAttempt(bigger, &m);
+  EXPECT_EQ(other_m.status.code(), StatusCode::kInvalidInput);
+  EXPECT_TRUE(other_m.rows.empty());
+  EXPECT_EQ(m.watermark(), watermark);
+
+  // Under shrinks the order also depends on their schedule.
+  FaultConfig early;
+  early.shrink_at_ios = {plain.loaded_ios + 1};
+  FaultConfig late;
+  late.shrink_at_ios = {plain.loaded_ios + 2};
+  const Attempt whole = RunAttempt(ShrinkContext(early), nullptr);
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  FaultConfig early_kill = early;
+  early_kill.kill_at_ios = MidJoinKillTick(early, whole);
+  QueryManifest shrunk;
+  ASSERT_EQ(RunAttempt(ShrinkContext(early_kill), &shrunk).status.code(),
+            StatusCode::kIoError);
+  const std::uint64_t shrunk_watermark = shrunk.watermark();
+  ASSERT_GT(shrunk_watermark, 0u);
+  const Attempt other_schedule = RunAttempt(ShrinkContext(late), &shrunk);
+  EXPECT_EQ(other_schedule.status.code(), StatusCode::kInvalidInput);
+  EXPECT_TRUE(other_schedule.rows.empty());
+  EXPECT_EQ(shrunk.watermark(), shrunk_watermark);
+
+  // The schedule it was recorded under resumes it.
+  const Attempt same = RunAttempt(ShrinkContext(early), &shrunk);
+  ASSERT_TRUE(same.status.ok()) << same.status.ToString();
+  EXPECT_EQ(shrunk_watermark + same.rows.size(), whole.rows.size());
 }
 
 // ---------------------------------------------------------------------

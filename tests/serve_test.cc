@@ -664,35 +664,40 @@ TEST(ServeResume, ShardedKillClassifiesAsKilledAndResumes) {
   server.Stop();
 }
 
-// A completed session keeps its row count, not its rows: the manifest's
-// journals (query level and per shard) are released once the attempt
-// succeeds, while a failed attempt keeps the watermark its resume needs.
+// A completed session keeps its row count, not its rows: the rows the
+// manifest's shards hold for the barrier are released once the attempt
+// succeeds, while a failed attempt keeps what its resume needs.
 TEST(ServeSession, CompletedSessionKeepsItsRowCountNotItsRows) {
   serve::QuerySpec spec;
   spec.id = "done";
   serve::QuerySession session(std::move(spec), 16);
-  session.manifest().journal().Record(std::vector<Value>{1, 2});
-  session.manifest().journal().Record(std::vector<Value>{3, 4});
-  session.manifest().Shard(0).journal().Record(std::vector<Value>{1, 2});
+  ASSERT_TRUE(session.manifest().Deliver(0));
+  ASSERT_TRUE(session.manifest().Deliver(1));
+  session.manifest().Shard(0).journal().Append(std::vector<Value>{1, 2});
+  session.manifest().Shard(0).MarkPhase("join");
   session.manifest().MarkPhase("join");
   const metrics::Registry attempt;
 
   session.AbsorbAttempt(attempt, {}, {},
                         extmem::Status(extmem::StatusCode::kIoError, "x"));
-  EXPECT_EQ(session.manifest().journal().rows(), 2u);
+  EXPECT_EQ(session.manifest().watermark(), 2u);
   EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 1u);
+  EXPECT_EQ(session.Snapshot().rows, 2u);
 
   session.AbsorbAttempt(attempt, {}, {}, extmem::Status::Ok());
-  EXPECT_EQ(session.manifest().journal().rows(), 0u);
-  EXPECT_TRUE(session.manifest().journal().data().empty());
+  EXPECT_EQ(session.manifest().watermark(), 2u);
   EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 0u);
+  EXPECT_TRUE(session.manifest().Shard(0).journal().data().empty());
+  // Without its rows the shard would have to re-run.
+  EXPECT_FALSE(session.manifest().Shard(0).PhaseCompleted("join"));
   EXPECT_TRUE(session.manifest().PhaseCompleted("join"));
   EXPECT_EQ(session.Snapshot().rows, 2u);
 }
 
 // With ServerOptions::manifest_dir, a completed query's manifest is on
-// disk with every row, and a restarted daemon re-submitted the same id
-// delivers nothing twice: the output file stays byte-identical.
+// disk with its row count and no rows, and a restarted daemon
+// re-submitted the same id delivers nothing twice: the output file stays
+// byte-identical.
 TEST(ServeResume, PersistedManifestKeepsEveryRowAcrossARestart) {
   WriteBipartite("serve_md_r1.csv", "serve_md_r2.csv", 24);
   const std::string dir = testing::TempDir() + "/serve_manifest_dir";
@@ -725,11 +730,8 @@ TEST(ServeResume, PersistedManifestKeepsEveryRowAcrossARestart) {
   recover::QueryManifest persisted;
   ASSERT_TRUE(persisted.ReadFrom(dir + "/md.manifest").ok());
   EXPECT_TRUE(persisted.PhaseCompleted("join"));
-  std::vector<std::string> journaled;
-  persisted.journal().ReplayInto([&journaled](std::span<const Value> row) {
-    journaled.push_back(FormatRow(row));
-  });
-  EXPECT_EQ(journaled, expected);
+  EXPECT_EQ(persisted.watermark(), expected.size());
+  EXPECT_EQ(persisted.journal().rows(), 0u);
 
   const std::string before = ReadFile("serve_md.out");
   run_once("true");  // a fresh daemon on the same manifest directory

@@ -24,10 +24,10 @@
 //       range-checked by extmem::ParseFaultSetting. A run that cannot
 //       recover exits with the code for its typed error. --fault-kill-at
 //       interrupts the run at a virtual-I/O tick (exit 74);
-//       --resume=MANIFEST journals the query through a QueryManifest
-//       persisted at MANIFEST on every exit path — rerunning with the
-//       same --resume after an interrupted run resumes it, printing the
-//       full output set exactly once.
+//       --resume=MANIFEST counts the rows the query printed in a
+//       QueryManifest persisted at MANIFEST on every exit path — rerunning
+//       with the same --resume after an interrupted run resumes it,
+//       printing the full output set exactly once.
 //
 //   emjoin_cli plan [--memory M] [--block B] "attr1,attr2:SIZE" ...
 //       No data: prints the query classification, GenS families and the
@@ -54,6 +54,7 @@
 //   73  unrecoverable torn write (data loss)
 //   74  I/O fault retries exhausted
 //   75  enforced memory budget exceeded
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -249,8 +250,9 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
   // just means a fresh run) and persist it after the join on every exit
   // path — success or typed failure — so the next invocation with the
   // same --resume picks up exactly where this one stopped. The CLI's
-  // output is the terminal sink, so a resumed run replays the watermark
-  // too: the printed output is the full result set.
+  // output is the terminal sink and starts empty, so a resumed run
+  // replays the watermark: the join re-derives the rows an earlier run
+  // printed, and the printed output is the full result set.
   recover::QueryManifest manifest;
   const bool resuming = !flags.resume_path.empty();
   bool manifest_loaded = false;
@@ -261,7 +263,7 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
     ctx.manifest = &manifest;
     ctx.replay_watermark = true;
   }
-  const std::uint64_t watermark_rows = manifest.journal().rows();
+  const std::uint64_t watermark_rows = manifest.watermark();
   run::Runner runner(std::move(ctx));
 
   bool joining = false;
@@ -324,10 +326,13 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
         }
       }
     } else if (resuming) {
+      // The rewound join delivered every row; the first watermark_rows
+      // of them are the ones the loaded manifest counted.
+      const std::uint64_t replayed = std::min(watermark_rows, joined.results);
       std::printf("resume:    %llu rows replayed from watermark, %llu "
                   "new\n",
-                  (unsigned long long)watermark_rows,
-                  (unsigned long long)joined.results);
+                  (unsigned long long)replayed,
+                  (unsigned long long)(joined.results - replayed));
     }
   }
   if (resuming && joining) {
@@ -340,7 +345,7 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
     } else {
       std::printf("manifest:  wrote %s (%llu rows journaled)\n",
                   flags.resume_path.c_str(),
-                  (unsigned long long)manifest.journal().rows());
+                  (unsigned long long)manifest.watermark());
     }
   }
   if (!report.ok()) return Fail(report.status());

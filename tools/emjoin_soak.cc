@@ -13,10 +13,11 @@
 // base seed is always printed for replay.
 //
 // --kill-resume switches to the kill-and-resume matrix: each seed's join
-// is interrupted at a seed-derived virtual-I/O tick while journaling
-// into a QueryManifest, then resumed from that manifest, at K = 1 and
-// K = 4 shards; the union of the two attempts' outputs must be exactly
-// the uninterrupted baseline set with zero duplicate emits.
+// is interrupted at a seed-derived virtual-I/O tick while a QueryManifest
+// counts its delivered rows, then resumed from that manifest, at K = 1
+// and K = 4 shards; the two attempts' outputs, in delivery order, must be
+// exactly the uninterrupted baseline's row sequence with zero duplicate
+// emits.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
