@@ -86,6 +86,34 @@ Relation SemiJoinValues(const Relation& rel, storage::AttrId a,
   return Relation(rel.schema(), extmem::FileRange(out), a);
 }
 
+std::optional<storage::AttrId> ReductionOrder::FirstSortOf(
+    std::size_t r) const {
+  for (const std::vector<SemiJoinStep>* sweep : {&up, &down}) {
+    for (const SemiJoinStep& step : *sweep) {
+      if (step.target == r || step.filter == r) return step.attr;
+    }
+  }
+  return std::nullopt;
+}
+
+ReductionOrder PlanReduction(const query::JoinQuery& q) {
+  const query::JoinTree tree = query::BuildJoinTree(q);
+  ReductionOrder order;
+  // Upward sweep: children filter parents (bottom-up order).
+  for (query::EdgeId e : tree.bottom_up) {
+    if (tree.parent[e] < 0) continue;
+    order.up.push_back({static_cast<std::size_t>(tree.parent[e]), e,
+                        tree.parent_attr[e]});
+  }
+  // Downward sweep: parents filter children (top-down order).
+  for (auto it = tree.bottom_up.rbegin(); it != tree.bottom_up.rend(); ++it) {
+    for (query::EdgeId c : tree.children[*it]) {
+      order.down.push_back({c, *it, tree.parent_attr[c]});
+    }
+  }
+  return order;
+}
+
 std::vector<Relation> FullyReduce(const std::vector<Relation>& rels) {
   if (rels.empty()) return {};
   query::JoinQuery q;
@@ -99,30 +127,22 @@ std::vector<Relation> FullyReduce(const std::vector<Relation>& rels) {
                        "FullyReduce requires a Berge-acyclic query, got " +
                            q.ToString()));
   }
-  const query::JoinTree tree = query::BuildJoinTree(q);
+  const ReductionOrder order = PlanReduction(q);
 
   std::vector<Relation> work = rels;
   trace::Span span(rels.front().device(), "reduce");
-
-  // Upward sweep: children filter parents (bottom-up order).
+  const auto run = [&work](const std::vector<SemiJoinStep>& steps) {
+    for (const SemiJoinStep& s : steps) {
+      work[s.target] = SemiJoin(work[s.target], work[s.filter], s.attr);
+    }
+  };
   {
     trace::Span up(rels.front().device(), "reduce.up");
-    for (query::EdgeId e : tree.bottom_up) {
-      if (tree.parent[e] < 0) continue;
-      const query::EdgeId p = static_cast<query::EdgeId>(tree.parent[e]);
-      work[p] = SemiJoin(work[p], work[e], tree.parent_attr[e]);
-    }
+    run(order.up);
   }
-  // Downward sweep: parents filter children (top-down order).
   {
     trace::Span down(rels.front().device(), "reduce.down");
-    for (auto it = tree.bottom_up.rbegin(); it != tree.bottom_up.rend();
-         ++it) {
-      const query::EdgeId e = *it;
-      for (query::EdgeId c : tree.children[e]) {
-        work[c] = SemiJoin(work[c], work[e], tree.parent_attr[c]);
-      }
-    }
+    run(order.down);
   }
   return work;
 }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "extmem/fault_injector.h"
 #include "metrics/registry.h"
 #include "trace/tracer.h"
 
@@ -863,9 +864,13 @@ FilePtr SortImpl(const FileRange& input,
           }
           break;
         } catch (const StatusException& e) {
+          // A fired kill switch also raises kIoError, but it stops the
+          // query: re-merging would let the query run on past its kill.
           const StatusCode code = e.status().code();
-          const bool transient = code == StatusCode::kIoError ||
-                                 code == StatusCode::kDataLoss;
+          const FaultInjector* injector = dev->fault_injector();
+          const bool transient = (code == StatusCode::kIoError ||
+                                  code == StatusCode::kDataLoss) &&
+                                 (injector == nullptr || !injector->killed());
           if (!transient || attempts >= options.group_retries) {
             // Checkpoint what survived: this pass's merged groups plus
             // the runs not yet consumed (including this group's inputs,

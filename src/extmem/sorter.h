@@ -37,7 +37,9 @@ struct SortManifest {
 /// group (typed kIoError/kDataLoss), the sorter discards only that
 /// group's partial output and re-merges the group — completed groups and
 /// runs are never redone — up to `group_retries` times per group. The
-/// re-merge I/Os are charged under the "recovery" tag.
+/// re-merge I/Os are charged under the "recovery" tag. A fired kill
+/// switch (FaultInjector::killed()) is never retried: the sorter
+/// checkpoints and rethrows, so the kill stops the query.
 struct SortOptions {
   std::uint32_t group_retries = 2;
 };

@@ -32,14 +32,14 @@ constexpr std::uint32_t kSweep[] = {2, 4, 8};
 
 const ParallelWorkload kWorkloads[] = {
     {"parallel_line3",
-     "max-shard I/O <= 1.6 * (sum / K) and < serial I/O, K in {2,4,8}, "
-     "uniform L3", 1.6, 0.0},
+     "max-shard I/O <= 1.6 * (sum / K), critical path < serial I/O, "
+     "K in {2,4,8}, uniform L3", 1.6, 0.0},
     {"parallel_star",
-     "max-shard I/O <= 1.6 * (sum / K) and < serial I/O, K in {2,4,8}, "
-     "uniform 3-star", 1.6, 0.0},
+     "max-shard I/O <= 1.6 * (sum / K), critical path < serial I/O, "
+     "K in {2,4,8}, uniform 3-star", 1.6, 0.0},
     {"parallel_line3_zipf",
-     "max-shard I/O <= 3.0 * (sum / K) and < serial I/O, K in {2,4,8}, "
-     "Zipf(1.0) L3", 3.0, 1.0},
+     "max-shard I/O <= 3.0 * (sum / K), critical path < serial I/O, "
+     "K in {2,4,8}, Zipf(1.0) L3", 3.0, 1.0},
 };
 
 std::pair<query::JoinQuery, std::vector<TupleCount>> Shape(
@@ -126,11 +126,14 @@ AuditRow AuditWorkload(const ParallelWorkload& w,
           "K=" + std::to_string(k) + ": max-shard/(sum/K) ratio " +
           std::to_string(ratio) + " exceeds band " + std::to_string(w.band));
     }
-    if (report.max_shard_ios >= serial_ios) {
+    // The critical path counts the source's partition I/O (its reads
+    // and broadcast presorts) ahead of the slowest shard, so work moved
+    // off the shards onto the source cannot escape this check.
+    if (report.critical_path_ios() >= serial_ios) {
       row.pass = false;
       row.failures.push_back(
           "K=" + std::to_string(k) + ": critical path " +
-          std::to_string(report.max_shard_ios) +
+          std::to_string(report.critical_path_ios()) +
           " I/Os does not beat serial " + std::to_string(serial_ios));
     }
   }

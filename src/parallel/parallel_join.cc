@@ -52,22 +52,23 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   // K=1 (or degenerate input): the exact serial path on the source
   // device — no partitioning, no extra devices, bit-identical I/O.
   if (report.shards == 1 || rels.empty()) {
+    if (options.manifest != nullptr) {
+      // The resumable join counts the rows it hands to `emit` itself.
+      extmem::Result<recover::ResumeReport> r =
+          recover::TryResumableJoinAuto(rels, emit, options.manifest);
+      if (!r.ok()) return r.status();
+      report.auto_report = r->join;
+      report.results = r->emitted_rows;
+      return report;
+    }
     std::uint64_t rows = 0;
     const core::EmitFn counted = [&rows, &emit](std::span<const Value> row) {
       ++rows;
       emit(row);
     };
-    if (options.manifest != nullptr) {
-      extmem::Result<recover::ResumeReport> r =
-          recover::TryResumableJoinAuto(rels, counted, options.manifest);
-      if (!r.ok()) return r.status();
-      report.auto_report = r->join;
-    } else {
-      extmem::Result<core::AutoJoinReport> r =
-          core::TryJoinAuto(rels, counted);
-      if (!r.ok()) return r.status();
-      report.auto_report = std::move(r).value();
-    }
+    extmem::Result<core::AutoJoinReport> r = core::TryJoinAuto(rels, counted);
+    if (!r.ok()) return r.status();
+    report.auto_report = std::move(r).value();
     report.results = rows;
     return report;
   }
@@ -137,10 +138,11 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     raw_devices.push_back(dev);
   }
 
-  // Partition on the orchestrating thread. Reads charge the source
-  // device (whose own injector, if any, can fail them); fragment writes
-  // charge the shard devices under their injectors — so a fault during
-  // redistribution surfaces here as the query's Status.
+  // Partition on the orchestrating thread. The broadcast presorts and
+  // the reads charge the source device (whose own injector, if any, can
+  // fail or kill them); fragment writes charge the shard devices under
+  // their injectors — so a fault during redistribution surfaces here as
+  // the query's Status.
   const extmem::IoStats src_before = src->stats();
   extmem::Result<std::vector<std::vector<storage::Relation>>> partitioned =
       extmem::CatchStatus(

@@ -68,8 +68,9 @@ struct ParallelJoinReport {
   std::uint32_t workers = 1;
   bool sharded = false;
   storage::AttrId partition_attr = 0;
-  /// I/O charged to the *source* device while partitioning (the one
-  /// full read of every input relation).
+  /// I/O charged to the *source* device while partitioning: the sort of
+  /// every presorted broadcast relation (ShardPlan::presort) plus one
+  /// full read of every relation as streamed.
   extmem::IoStats partition_io;
   std::vector<ShardReport> per_shard;
   std::uint64_t results = 0;
@@ -80,7 +81,7 @@ struct ParallelJoinReport {
   std::uint64_t sum_shard_ios = 0;
   extmem::FaultStats faults;
 
-  /// The query's sharded I/O totals, with the partition's source reads
+  /// The query's sharded I/O totals, with the partition's source I/O
   /// counted once ahead of the shards: the critical path is
   /// partition_io + max_shard_ios, the total work partition_io +
   /// sum_shard_ios.
@@ -92,8 +93,9 @@ struct ParallelJoinReport {
   }
 };
 
-/// Sharded top-level join. Hash-partitions `rels` per PlanShards, runs
-/// the existing JoinAuto dispatch shard-locally on a WorkerPool, and
+/// Sharded top-level join. Hash-partitions `rels` per PlanShards (each
+/// broadcast relation sorted once, at the source), runs the existing
+/// JoinAuto dispatch shard-locally on a WorkerPool, and
 /// replays each shard's buffered output through `emit` in shard order at
 /// the barrier — so the emitted sequence is a pure function of the
 /// inputs and shard count, never of thread interleaving (pinned by the

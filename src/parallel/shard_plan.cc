@@ -6,6 +6,9 @@
 #include <map>
 #include <span>
 
+#include "core/reduce.h"
+#include "query/hypergraph.h"
+
 namespace emjoin::parallel {
 
 namespace {
@@ -51,6 +54,15 @@ ShardPlan PlanShards(const std::vector<storage::Relation>& rels,
   for (const storage::Relation& r : rels) {
     plan.partitioned.push_back(r.schema().Contains(best));
   }
+  plan.presort.assign(rels.size(), std::nullopt);
+  query::JoinQuery q;
+  for (const storage::Relation& r : rels) q.AddRelation(r.schema(), r.size());
+  if (q.IsBergeAcyclic()) {
+    const core::ReductionOrder order = core::PlanReduction(q);
+    for (std::size_t r = 0; r < rels.size(); ++r) {
+      if (!plan.partitioned[r]) plan.presort[r] = order.FirstSortOf(r);
+    }
+  }
   const extmem::Device* dev = rels.front().device();
   plan.shard_memory = std::max<TupleCount>(dev->M() / shards, dev->B());
   return plan;
@@ -74,7 +86,10 @@ std::vector<std::vector<storage::Relation>> PartitionRelations(
   for (auto& shard_rels : out) shard_rels.reserve(rels.size());
 
   for (std::size_t ri = 0; ri < rels.size(); ++ri) {
-    const storage::Relation& rel = rels[ri];
+    // The sorted copy lives only until its blocks reach every shard.
+    const storage::Relation rel = plan.presort[ri].has_value()
+                                      ? rels[ri].SortedBy(*plan.presort[ri])
+                                      : rels[ri];
     const std::uint32_t width = rel.schema().arity();
     // A deque, because FragmentWriter can be neither copied nor moved.
     std::deque<FragmentWriter> frags;
@@ -105,7 +120,7 @@ std::vector<std::vector<storage::Relation>> PartitionRelations(
       frags[s].writer.Finish();
       const extmem::FileRange range(frags[s].writer.file());
       // Routing keeps each tuple's relative order, so the fragment
-      // keeps the source's sort metadata.
+      // keeps the streamed relation's sort metadata.
       out[s].emplace_back(rel.schema(), range, rel.sorted_by());
     }
   }

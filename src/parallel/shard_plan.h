@@ -2,6 +2,7 @@
 #define EMJOIN_PARALLEL_SHARD_PLAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "extmem/device.h"
@@ -20,12 +21,23 @@ namespace emjoin::parallel {
 /// partition attribute's hash bucket, so the union of the shard-local
 /// joins is exactly the full join and every result row is produced by
 /// exactly one shard (no dedup pass needed).
+///
+/// Every shard's full reducer would sort its own copy of a broadcast
+/// relation, so the plan has the source sort it once instead, at full M,
+/// before replicating it (`presort`).
 struct ShardPlan {
   std::uint32_t shards = 1;
   storage::AttrId partition_attr = 0;
   /// Per input relation: true = hash-partitioned on partition_attr,
   /// false = broadcast (replicated) to every shard.
   std::vector<bool> partitioned;
+  /// Per input relation: for a broadcast relation, the attribute the
+  /// shard-local full reducer sorts it on first
+  /// (core::ReductionOrder::FirstSortOf), which PartitionRelations sorts
+  /// it on at the source. nullopt for partitioned relations, for
+  /// broadcast ones no semijoin touches (a cross-product component), and
+  /// for a query that is not Berge-acyclic.
+  std::vector<std::optional<storage::AttrId>> presort;
   /// Memory budget per shard device: max(M / shards, B) tuples.
   TupleCount shard_memory = 0;
 };
@@ -49,16 +61,20 @@ std::uint32_t ShardOfValue(Value v, std::uint32_t shards);
 /// under the "partition" tag), and each tuple goes straight to a fresh
 /// fragment file on its shard's device (charged there under "partition"
 /// too). A hash-partitioned relation routes each tuple by
-/// ShardOfValue(partition value); a broadcast relation appends every
-/// source block to every shard. The host holds K writers, never a copy
-/// of the input.
+/// ShardOfValue(partition value). A broadcast relation with a `presort`
+/// attribute is first sorted on it at the source (Relation::SortedBy,
+/// charged there under "sort", free if it already is); then every block
+/// of it is appended to every shard. The host holds K writers, never a
+/// copy of the input.
 ///
-/// Each device's charges are those of reading every relation whole and
-/// then writing each fragment tuple by tuple: the source pays one read
-/// per block its range spans, shard s pays ceil(|fragment|/B) writes per
-/// fragment, in relation order, one block per charge. Fragments inherit
-/// the source relation's sorted-by metadata: routing filters rows
-/// without reordering them, so a sorted input yields sorted fragments.
+/// Each device's charges are those of the presorts, then of reading
+/// every relation whole and writing each fragment tuple by tuple: the
+/// source pays one read per block each streamed range spans, shard s
+/// pays ceil(|fragment|/B) writes per fragment, in relation order, one
+/// block per charge. Fragments carry the streamed relation's sorted-by
+/// metadata: routing filters rows without reordering them, so a sorted
+/// input yields sorted fragments, and a presorted broadcast relation
+/// reaches every shard sorted on its presort attribute.
 ///
 /// Returns per-shard relation lists: result[s][r] is shard s's fragment
 /// of rels[r].

@@ -4,8 +4,10 @@
 #include <utility>
 
 #include "core/yannakakis.h"
+#include "extmem/sorter.h"
 #include "gens/psi.h"
 #include "metrics/collect.h"
+#include "parallel/shard_plan.h"
 #include "query/hypergraph.h"
 #include "storage/csv.h"
 
@@ -76,13 +78,22 @@ extmem::Result<RunReport> Runner::Join(
     // no counting oracles, so planning charges zero I/Os.
     long double planned =
         gens::PredictBoundWorstCase(q, device_.M(), device_.B()).bound;
-    if (ctx_.shards > 1) {
-      // Sharded runs pay one extra write+read pass to redistribute.
-      std::uint64_t input_blocks = 0;
-      for (const auto& r : relations_) {
-        input_blocks += (r.size() + device_.B() - 1) / device_.B();
+    if (ctx_.shards > 1 && !relations_.empty()) {
+      // Sharded runs read and write every input block once more to
+      // redistribute it. A broadcast relation the plan presorts adds the
+      // source's sort: one such sweep for run formation and one per
+      // merge pass.
+      const parallel::ShardPlan plan =
+          parallel::PlanShards(relations_, ctx_.shards);
+      for (std::size_t i = 0; i < relations_.size(); ++i) {
+        const storage::Relation& r = relations_[i];
+        std::uint64_t sweeps = 1;
+        if (plan.presort[i].has_value() && !r.IsSortedBy(*plan.presort[i])) {
+          sweeps += 1 + extmem::MergePassesFor(device_, r.size());
+        }
+        planned += 2.0L * static_cast<long double>(
+                              sweeps * device_.BlocksFor(r.size()));
       }
-      planned += 2.0L * static_cast<long double>(input_blocks);
     }
     ctx_.telemetry->tracker().SetPlan({{"join", planned}});
   }

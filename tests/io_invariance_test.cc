@@ -25,6 +25,7 @@
 #include "metrics/collect.h"
 #include "metrics/registry.h"
 #include "obs/telemetry.h"
+#include "parallel/parallel_join.h"
 #include "query/hypergraph.h"
 #include "storage/relation.h"
 #include "trace/tracer.h"
@@ -518,6 +519,29 @@ TEST(EmitOrderGolden, UnbalancedL7NestedLoopOverAlgorithm4) {
   });
   EXPECT_EQ(route, "L7=NL(R1,R7, Alg4)");
   EXPECT_EQ(got, (EmitOrder{3000u, 10823018456109597326ull}));
+}
+
+// The sharded path at K = 4: the barrier hands the shards' rows to the
+// sink in shard order, and the sequence must not depend on the worker
+// count or on which device sorted a broadcast relation for a shard's
+// reducer.
+TEST(EmitOrderGolden, ShardedL3K4) {
+  for (const std::uint32_t workers : {1u, 4u}) {
+    extmem::Device dev(64, 8);
+    workload::RandomOptions opt;
+    opt.seed = 14;
+    opt.domain_size = 256;
+    const auto rels = workload::RandomInstance(
+        &dev, query::JoinQuery::Line(3), {800, 800, 800}, opt);
+    parallel::ParallelOptions options;
+    options.shards = 4;
+    options.workers = workers;
+    const EmitOrder got = EmitOrderOf([&](const core::EmitFn& emit) {
+      ASSERT_TRUE(parallel::TryParallelJoinAuto(rels, emit, options).ok());
+    });
+    EXPECT_EQ(got, (EmitOrder{7767u, 10937971024523404220ull}))
+        << "W=" << workers;
+  }
 }
 
 TEST(MergePasses, InMemoryInputNeedsNoMergePass) {

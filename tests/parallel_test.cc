@@ -7,14 +7,19 @@
 // nothing emitted and independent, replayable per-shard fault seeds).
 #include "parallel/parallel_join.h"
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/dispatch.h"
 #include "core/reference.h"
+#include "extmem/sorter.h"
 #include "metrics/registry.h"
 #include "parallel/shard_plan.h"
 #include "parallel/worker_pool.h"
@@ -122,6 +127,20 @@ TEST(ShardPlanTest, PicksTheAttributeCoveringTheMostData) {
   EXPECT_EQ(floor_plan.shard_memory, TupleCount{4});
 }
 
+// One fresh device per shard of `plan`, and the pointers
+// PartitionRelations takes.
+struct ShardDevices {
+  ShardDevices(const ShardPlan& plan, TupleCount block) {
+    for (std::uint32_t s = 0; s < plan.shards; ++s) {
+      owned.push_back(
+          std::make_unique<extmem::Device>(plan.shard_memory, block));
+      ptrs.push_back(owned.back().get());
+    }
+  }
+  std::vector<std::unique_ptr<extmem::Device>> owned;
+  std::vector<extmem::Device*> ptrs;
+};
+
 // Blocks a sequential read of `range` crosses: what FileReader charges.
 std::uint64_t BlocksSpanned(const extmem::FileRange& range, TupleCount b) {
   if (range.empty()) return 0;
@@ -133,67 +152,82 @@ TEST(ShardPlanTest, FragmentsPartitionTheInputExactly) {
   const std::vector<std::string> variants = {"generated", "sliced", "sorted"};
   for (const std::string& variant : variants) {
     SCOPED_TRACE(variant);
+    // The variant's input on `dev`; a twin device gets the same input to
+    // price the source's presorts.
+    const auto make = [&variant](extmem::Device* dev) {
+      std::vector<storage::Relation> rels = Line3Instance(dev);
+      const storage::AttrId attr = PlanShards(rels, kShards).partition_attr;
+      for (storage::Relation& rel : rels) {
+        if (variant == "sliced") {
+          // [1, 298) of 300 tuples at B = 4 starts and ends mid-block, so
+          // the source range spans a partial block at each end.
+          rel = rel.Slice(1, rel.size() - 2);
+        } else if (variant == "sorted") {
+          const storage::AttrId key =
+              rel.schema().Contains(attr) ? attr : rel.schema().attr(0);
+          rel = rel.SortedBy(key);
+        }
+      }
+      return rels;
+    };
     extmem::Device src(64, 4);
-    std::vector<storage::Relation> rels = Line3Instance(&src);
-    const storage::AttrId attr = PlanShards(rels, kShards).partition_attr;
-    for (storage::Relation& rel : rels) {
-      if (variant == "sliced") {
-        // [1, 298) of 300 tuples at B = 4 starts and ends mid-block, so
-        // the source range spans a partial block at each end.
-        rel = rel.Slice(1, rel.size() - 2);
-      } else if (variant == "sorted") {
-        const storage::AttrId key =
-            rel.schema().Contains(attr) ? attr : rel.schema().attr(0);
-        rel = rel.SortedBy(key);
+    const std::vector<storage::Relation> rels = make(&src);
+    const ShardPlan plan = PlanShards(rels, kShards);
+    ShardDevices shard_devs(plan, src.B());
+
+    // What the source streams: each relation, or its presorted copy.
+    extmem::Device twin(64, 4);
+    std::vector<storage::Relation> streamed = make(&twin);
+    const extmem::IoStats twin_before = twin.stats();
+    for (std::size_t r = 0; r < rels.size(); ++r) {
+      ASSERT_EQ(plan.presort[r].has_value(), !plan.partitioned[r]);
+      if (plan.presort[r].has_value()) {
+        streamed[r] = streamed[r].SortedBy(*plan.presort[r]);
       }
     }
-    const ShardPlan plan = PlanShards(rels, kShards);
-    ASSERT_EQ(plan.partition_attr, attr);
-    std::vector<std::unique_ptr<extmem::Device>> devs;
-    std::vector<extmem::Device*> dev_ptrs;
-    for (std::uint32_t i = 0; i < kShards; ++i) {
-      devs.push_back(
-          std::make_unique<extmem::Device>(plan.shard_memory, src.B()));
-      dev_ptrs.push_back(devs.back().get());
-    }
-    const extmem::IoStats src_before = src.stats();
-    const auto frags = PartitionRelations(rels, plan, dev_ptrs);
+    const extmem::IoStats presort_io = twin.stats() - twin_before;
+    // R3(c, d) is broadcast and presorted on c; the "sorted" variant
+    // already is, so only the other two pay for the sort.
+    EXPECT_EQ(presort_io.total() == 0, variant == "sorted");
 
-    // The source pays one read per block each input range spans, all
-    // under "partition", and nothing else.
+    const extmem::IoStats src_before = src.stats();
+    const auto frags = PartitionRelations(rels, plan, shard_devs.ptrs);
+
+    // The source pays its presorts under "sort" plus one read per block
+    // each streamed range spans under "partition", and nothing else.
     std::uint64_t spanned = 0;
-    for (const storage::Relation& rel : rels) {
+    for (const storage::Relation& rel : streamed) {
       spanned += BlocksSpanned(rel.range(), src.B());
     }
-    EXPECT_EQ(src.stats() - src_before, (extmem::IoStats{spanned, 0}));
-    EXPECT_EQ(src.per_tag().at("partition"), (extmem::IoStats{spanned, 0}));
+    const extmem::IoStats streamed_reads{spanned, 0};
+    EXPECT_EQ(src.stats() - src_before, presort_io + streamed_reads);
+    EXPECT_EQ(src.per_tag().at("partition"), streamed_reads);
 
     // Each shard pays ceil(|fragment| / B) writes per fragment, all under
     // "partition", and nothing else.
     ASSERT_EQ(frags.size(), kShards);
     for (std::uint32_t s = 0; s < kShards; ++s) {
       ASSERT_EQ(frags[s].size(), rels.size());
+      const extmem::Device& dev = *shard_devs.ptrs[s];
       std::uint64_t writes = 0;
       for (const storage::Relation& frag : frags[s]) {
-        writes += devs[s]->BlocksFor(frag.size());
+        writes += dev.BlocksFor(frag.size());
       }
-      EXPECT_EQ(devs[s]->stats(), (extmem::IoStats{0, writes}))
-          << "shard " << s;
-      EXPECT_EQ(devs[s]->per_tag().at("partition"), devs[s]->stats())
-          << "shard " << s;
+      EXPECT_EQ(dev.stats(), (extmem::IoStats{0, writes})) << "shard " << s;
+      EXPECT_EQ(dev.per_tag().at("partition"), dev.stats()) << "shard " << s;
     }
 
     for (std::size_t r = 0; r < rels.size(); ++r) {
-      const std::vector<storage::Tuple> source = test::ReadAll(rels[r]);
+      const std::vector<storage::Tuple> source = test::ReadAll(streamed[r]);
       const auto col = rels[r].schema().PositionOf(plan.partition_attr);
       ASSERT_EQ(col.has_value(), plan.partitioned[r]);
       TupleCount total = 0;
       for (std::uint32_t s = 0; s < kShards; ++s) {
         const storage::Relation& frag = frags[s][r];
         EXPECT_EQ(frag.schema().attrs(), rels[r].schema().attrs());
-        EXPECT_EQ(frag.sorted_by(), rels[r].sorted_by());
-        // A fragment is its shard's subsequence of the source, in source
-        // order; a broadcast fragment is the whole source.
+        EXPECT_EQ(frag.sorted_by(), streamed[r].sorted_by());
+        // A fragment is its shard's subsequence of what the source
+        // streamed, in that order; a broadcast fragment is all of it.
         std::vector<storage::Tuple> expected;
         for (const storage::Tuple& t : source) {
           if (!col.has_value() || ShardOfValue(t[*col], kShards) == s) {
@@ -270,6 +304,140 @@ TEST(ParallelJoinTest, ShardedStarAndZipfMatchSerial) {
               core::ReferenceJoin(rels))
         << "zipf=" << zipf;
   }
+}
+
+// `rel`'s tuples in a seeded random order, as a new relation on its
+// device.
+storage::Relation Shuffled(const storage::Relation& rel, std::uint64_t seed) {
+  std::vector<storage::Tuple> rows = test::ReadAll(rel);
+  std::mt19937_64 rng(seed);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  return storage::Relation::FromTuples(rel.device(), rel.schema(), rows);
+}
+
+// One external sort of n tuples on `dev` when every merge pass merges
+// all of its runs: run formation and each pass read and write every
+// block once.
+std::uint64_t OneSortIos(const extmem::Device& dev, TupleCount n) {
+  return 2 * dev.BlocksFor(n) * (1 + extmem::MergePassesFor(dev, n));
+}
+
+// What sorting a copy of `rel` on `a` charges on a fresh device with
+// `memory` tuples of memory. Exact where OneSortIos is not: a pass that
+// leaves one run over carries it to the next pass unread.
+std::uint64_t MeasuredSortIos(const storage::Relation& rel, storage::AttrId a,
+                              TupleCount memory) {
+  extmem::Device dev(memory, rel.device()->B());
+  const storage::Relation copy =
+      storage::Relation::FromTuples(&dev, rel.schema(), test::ReadAll(rel));
+  const extmem::IoStats before = dev.stats();
+  static_cast<void>(copy.SortedBy(a));
+  return (dev.stats() - before).total();
+}
+
+std::uint64_t SortIos(
+    const std::map<std::string, extmem::IoStats, std::less<>>& tags) {
+  const auto it = tags.find("sort");
+  return it == tags.end() ? 0 : it->second.total();
+}
+
+TEST(ParallelJoinTest, BroadcastRelationIsSortedOnceOnTheSource) {
+  constexpr std::uint32_t kShards = 4;
+  // L3 partitioned on b, so R3(c, d) is broadcast, plus a cross-product
+  // component R4(e, f) that no semijoin touches. Selective like
+  // perfbench's selective_l3: reduction drops most tuples, so the
+  // broadcast R3 is the bulk of each shard's sorting.
+  query::JoinQuery q = query::JoinQuery::Line(3);
+  q.AddRelation(storage::Schema({4, 5}));
+  workload::RandomOptions opts;
+  opts.seed = 42;
+  opts.domain_size = 1024;
+  std::vector<std::vector<Value>> sequences;
+  for (const bool shuffled : {false, true}) {
+    SCOPED_TRACE(shuffled ? "shuffled R3" : "generated R3");
+    extmem::Device dev(64, 4);
+    std::vector<storage::Relation> rels =
+        workload::RandomInstance(&dev, q, {300, 300, 300, 8}, opts);
+    if (shuffled) rels[2] = Shuffled(rels[2], 5);
+    rels[3] = Shuffled(rels[3], 6);
+    const TupleCount n = rels[2].size();
+
+    // The reducer sorts R3 on c first; R4 it never sorts.
+    const ShardPlan plan = PlanShards(rels, kShards);
+    ASSERT_EQ(plan.partition_attr, storage::AttrId{1});
+    EXPECT_EQ(plan.presort, (std::vector<std::optional<storage::AttrId>>{
+                                std::nullopt, std::nullopt,
+                                storage::AttrId{2}, std::nullopt}));
+
+    // Every shard's fragment of R3 arrives sorted on c; R4 arrives as
+    // stored, unsorted.
+    {
+      ShardDevices shard_devs(plan, dev.B());
+      const auto frags = PartitionRelations(rels, plan, shard_devs.ptrs);
+      std::vector<storage::Tuple> by_c = test::ReadAll(rels[2]);
+      const std::uint32_t key[] = {0};
+      std::sort(by_c.begin(), by_c.end(),
+                [&key](const storage::Tuple& a, const storage::Tuple& b) {
+                  return extmem::CompareTuples(a.data(), b.data(), 2, key) <
+                         0;
+                });
+      const std::vector<storage::Tuple> r4 = test::ReadAll(rels[3]);
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        EXPECT_TRUE(frags[s][2].IsSortedBy(2)) << "shard " << s;
+        EXPECT_EQ(test::ReadAll(frags[s][2]), by_c) << "shard " << s;
+        EXPECT_EQ(frags[s][3].sorted_by(), std::nullopt) << "shard " << s;
+        EXPECT_EQ(test::ReadAll(frags[s][3]), r4) << "shard " << s;
+      }
+    }
+
+    // The whole query: the source sorts R3 once at M, and no shard pays
+    // even one sort of it at M/K.
+    const std::uint64_t source_sort = SortIos(dev.per_tag());
+    core::CollectingSink sink;
+    ParallelOptions options;
+    options.shards = kShards;
+    options.workers = 2;
+    const auto result = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(SortIos(dev.per_tag()) - source_sort, OneSortIos(dev, n));
+    const std::uint64_t shard_sort_r3 =
+        MeasuredSortIos(rels[2], 2, plan.shard_memory);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_LT(SortIos(result->per_shard[s].tags), shard_sort_r3)
+          << "shard " << s;
+    }
+
+    // Against the same shards fed an unsorted R3, the presort saves each
+    // shard exactly its reducer's two sorts of R3 at M/K, and changes no
+    // other tag.
+    ShardPlan unsorted = plan;
+    unsorted.presort.assign(rels.size(), std::nullopt);
+    ShardDevices shard_devs(plan, dev.B());
+    const auto frags = PartitionRelations(rels, unsorted, shard_devs.ptrs);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_NE(result->per_shard[s].report.algorithm, "empty-shard");
+      core::CountingSink shard_sink;
+      ASSERT_TRUE(core::TryJoinAuto(frags[s], shard_sink.AsEmitFn()).ok());
+      auto tags = shard_devs.ptrs[s]->per_tag();
+      EXPECT_EQ(SortIos(tags),
+                SortIos(result->per_shard[s].tags) + 2 * shard_sort_r3)
+          << "shard " << s;
+      auto presorted_tags = result->per_shard[s].tags;
+      tags.erase("sort");
+      presorted_tags.erase("sort");
+      EXPECT_EQ(tags, presorted_tags) << "shard " << s;
+    }
+
+    ASSERT_GT(sink.results().size(), 0u);
+    EXPECT_EQ(test::Sorted(sink.results()), core::ReferenceJoin(rels));
+    sequences.push_back({});
+    for (const std::vector<Value>& row : sink.results()) {
+      sequences.back().insert(sequences.back().end(), row.begin(), row.end());
+    }
+  }
+  // Each shard's reducer sees the same sorted R3 however the source
+  // stored it, so the emitted sequence is the same.
+  EXPECT_EQ(sequences[0], sequences[1]);
 }
 
 // ---------------------------------------------------------------------

@@ -411,8 +411,8 @@ Attempt RunAttempt(run::RunContext ctx, QueryManifest* manifest) {
 }
 
 // A tick that interrupts `config`'s run mid-join, after some rows went
-// out. Not every tick does: a kill inside a sort merge pass is retried by
-// the sorter, and the run completes.
+// out. Not every tick does: one that lands before the first row leaves
+// nothing for a resume to skip.
 std::uint64_t MidJoinKillTick(const FaultConfig& config, const Attempt& whole) {
   for (const std::uint64_t eighths : {4, 5, 3, 6, 2, 7}) {
     FaultConfig killing = config;
@@ -466,6 +466,34 @@ TEST(ResumeOrder, KilledUnderEveryShrinkModeResumesTheSameSequence) {
     both.insert(both.end(), resumed.rows.begin(), resumed.rows.end());
     EXPECT_EQ(both, whole.rows);
   }
+}
+
+// A kill that lands inside a sort merge pass stops the query like any
+// other. At tick 1,050 this run is merging runs of one of the reducer's
+// sorts; a merge group retried past the kill would run the query to
+// completion (2,044 I/Os) instead.
+TEST(ResumeOrder, KillInsideASortMergePassStopsTheQuery) {
+  const Attempt whole = RunAttempt(ShrinkContext({}), nullptr);
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  ASSERT_GT(whole.ios, 1050u);
+
+  FaultConfig killing;
+  killing.kill_at_ios = 1050;
+  QueryManifest m;
+  const Attempt killed = RunAttempt(ShrinkContext(killing), &m);
+  ASSERT_EQ(killed.status.code(), StatusCode::kIoError)
+      << killed.status.ToString();
+  EXPECT_NE(killed.status.ToString().find("(killed;"), std::string::npos)
+      << killed.status.ToString();
+  // Nothing runs past the kill but the trailing block that an unwinding
+  // FileWriter flushes.
+  EXPECT_LE(killed.ios, 1051u);
+
+  const Attempt resumed = RunAttempt(ShrinkContext({}), &m);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  std::vector<Row> both = killed.rows;
+  both.insert(both.end(), resumed.rows.begin(), resumed.rows.end());
+  EXPECT_EQ(both, whole.rows);
 }
 
 // A partial watermark counts rows of one emission order. A resume whose

@@ -13,9 +13,11 @@
 #include "extmem/status.h"
 #include "metrics/registry.h"
 #include "obs/telemetry.h"
+#include "query/hypergraph.h"
 #include "recover/manifest.h"
 #include "tests/test_util.h"
 #include "workload/constructions.h"
+#include "workload/random_instance.h"
 
 namespace emjoin::run {
 namespace {
@@ -129,6 +131,60 @@ TEST(RunnerTest, PlansTelemetryAndCollectsTotalsWithoutADeviceRegistry) {
                       std::to_string(runner.device().stats().block_reads)),
             std::string::npos)
       << text;
+}
+
+// A sharded run's /progress plan is the serial plan plus one read and
+// one write of every input block to redistribute it, plus the source's
+// sort of each broadcast relation the shard plan presorts. Planning
+// itself charges nothing.
+TEST(RunnerTest, ShardedPlanCountsTheBroadcastPresort) {
+  struct Planned {
+    double predicted = 0;
+    std::uint64_t input_blocks = 0;
+    std::uint64_t source_sort_ios = 0;
+  };
+  const auto plan = [](std::uint32_t shards) {
+    RunContext ctx;
+    ctx.memory = 256;
+    ctx.block = 16;
+    ctx.build = [](extmem::Device* dev) {
+      workload::RandomOptions opts;
+      opts.seed = 3;
+      opts.domain_size = 512;
+      return workload::RandomInstance(dev, query::JoinQuery::Line(3),
+                                      {600, 600, 600}, opts);
+    };
+    obs::Telemetry telemetry;
+    ctx.telemetry = &telemetry;
+    ctx.shards = shards;
+    Runner runner(ctx);
+    Planned p;
+    core::CountingSink sink;
+    const auto report = runner.Run(sink.AsEmitFn(), [&] {
+      for (const storage::Relation& r : runner.relations()) {
+        p.input_blocks += runner.device().BlocksFor(r.size());
+      }
+      // The plan is in place before the join charges anything.
+      p.predicted = telemetry.tracker().Snapshot().predicted_ios;
+      EXPECT_EQ(runner.device().per_tag().count("sort"), 0u);
+      return extmem::Status::Ok();
+    });
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (const auto it = runner.device().per_tag().find("sort");
+        it != runner.device().per_tag().end()) {
+      p.source_sort_ios = it->second.total();
+    }
+    return p;
+  };
+  const Planned serial = plan(1);
+  const Planned sharded = plan(4);
+  // The shards sort on their own devices, so the source's only sort is
+  // the presort of the broadcast R3(c, d).
+  ASSERT_GT(sharded.source_sort_ios, 0u);
+  EXPECT_DOUBLE_EQ(sharded.predicted,
+                   serial.predicted +
+                       static_cast<double>(2 * sharded.input_blocks +
+                                           sharded.source_sort_ios));
 }
 
 TEST(RunnerTest, CyclicQueriesAreRejectedAsInvalidInput) {

@@ -583,33 +583,46 @@ TEST(ServeResume, KilledQueryResumesOnResubmissionWithZeroDuplicates) {
 }
 
 TEST(ServeResume, QueuedQueryCanBeKilledBeforeItEverRuns) {
-  // Heavy enough that "front" is still mid-join while the follow-up
-  // submission and kill round-trips land.
+  // Heavy enough that "front" is usually still mid-join while the
+  // follow-up submission and kill round-trips land.
   WriteBipartite("serve_q_r1.csv", "serve_q_r2.csv", 120);
   serve::ServerOptions options;
   options.admission.memory_budget = 512;  // one 512-tuple query at a time
   serve::Server server(options);
   ASSERT_TRUE(server.Start().ok());
   const std::uint16_t port = server.port();
+  const auto submit = [port](const std::string& id) {
+    return HttpPost(port, "/queries",
+                    "id=" + id + "\nmemory=512\nblock=8\n"
+                    "rel=a,b=serve_q_r1.csv\nrel=b,c=serve_q_r2.csv\n");
+  };
 
-  EXPECT_NE(HttpPost(port, "/queries",
-                     "id=front\nmemory=512\nblock=8\n"
-                     "rel=a,b=serve_q_r1.csv\nrel=b,c=serve_q_r2.csv\n")
-                .find("202"),
-            std::string::npos);
-  const std::string queued =
-      HttpPost(port, "/queries",
-               "id=behind\nmemory=512\nblock=8\n"
-               "rel=a,b=serve_q_r1.csv\nrel=b,c=serve_q_r2.csv\n");
   // Whether "behind" queued (front still running) or was admitted
   // (front already finished), the kill route must land it in a terminal
-  // state and the daemon must stay consistent.
-  EXPECT_NE(queued.find("202"), std::string::npos) << queued;
-  EXPECT_NE(HttpPost(port, "/queries/behind/kill", "").find("200"),
-            std::string::npos);
-  ASSERT_TRUE(WaitForState(port, "front", "completed"));
+  // state and the daemon must stay consistent. A busy host can also run
+  // both queries to completion before the kill arrives, which the kill
+  // answers with 409; the pair is then submitted again under new ids.
+  std::string front;
+  std::string behind;
+  for (int round = 0; round < 20 && behind.empty(); ++round) {
+    const std::string f = "front" + std::to_string(round);
+    const std::string b = "behind" + std::to_string(round);
+    EXPECT_NE(submit(f).find("202"), std::string::npos);
+    const std::string queued = submit(b);
+    EXPECT_NE(queued.find("202"), std::string::npos) << queued;
+    const std::string killed = HttpPost(port, "/queries/" + b + "/kill", "");
+    if (killed.find("200") != std::string::npos) {
+      front = f;
+      behind = b;
+    } else {
+      ASSERT_NE(killed.find("\"state\": \"completed\""), std::string::npos)
+          << killed;
+    }
+  }
+  ASSERT_FALSE(behind.empty()) << "every kill arrived after its query ended";
+  ASSERT_TRUE(WaitForState(port, front, "completed"));
   for (int i = 0; i < 2500; ++i) {
-    const std::string state = BodyOf(HttpGet(port, "/queries/behind"));
+    const std::string state = BodyOf(HttpGet(port, "/queries/" + behind));
     if (state.find("\"state\": \"killed\"") != std::string::npos ||
         state.find("\"state\": \"completed\"") != std::string::npos) {
       break;
@@ -617,7 +630,7 @@ TEST(ServeResume, QueuedQueryCanBeKilledBeforeItEverRuns) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   // Killing a terminal query is a 409, not a crash.
-  EXPECT_NE(HttpPost(port, "/queries/behind/kill", "").find("409"),
+  EXPECT_NE(HttpPost(port, "/queries/" + behind + "/kill", "").find("409"),
             std::string::npos);
   // A query too large for the whole budget is rejected outright.
   const std::string rejected =
