@@ -83,7 +83,9 @@ Record RunArm(Bench& bench, TupleCount m, TupleCount b, const Build& build,
 std::string AutoRoute(TupleCount m, TupleCount b, const Build& build) {
   extmem::Device dev(m, b);
   core::CountingSink sink;
-  return core::JoinAuto(build(&dev), sink.AsEmitFn()).algorithm;
+  const auto joined = core::TryJoinAuto(build(&dev), sink.AsEmitFn());
+  if (!joined.ok()) extmem::ThrowStatus(joined.status());
+  return joined->algorithm;
 }
 
 void Alg2(const Rels& rels, const core::EmitFn& emit) {
@@ -329,7 +331,9 @@ int YannakakisGap(Bench& bench) {
     const Record yann =
         RunArm(bench, m, b, l3, "yannakakis_L3", l3_n,
                [&](const Rels& rels, const core::EmitFn& emit) {
-                 report = core::YannakakisJoin(rels, emit);
+                 auto joined = core::TryYannakakisJoin(rels, emit);
+                 if (!joined.ok()) extmem::ThrowStatus(joined.status());
+                 report = *joined;
                });
     const Record acyc = RunArm(bench, m, b, l3, "acyclic_L3", l3_n, Alg2);
     line3.AddRow({U(l3_n), U(m), U(report.intermediate_tuples), U(yann.ios),

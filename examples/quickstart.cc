@@ -28,7 +28,7 @@ int main() {
   const storage::Relation tags = storage::Relation::FromTuples(
       &dev, storage::Schema({2, 3}), {{77, 5}, {88, 5}, {88, 6}});
 
-  // JoinAuto fully reduces the instance, classifies the query (here: a
+  // TryJoinAuto fully reduces the instance, classifies the query (here: a
   // balanced 3-relation line join), and runs the optimal algorithm. Each
   // result arrives as an assignment over the result schema — the emit
   // model: results are never written to disk.
@@ -39,16 +39,21 @@ int main() {
   std::printf("\n");
 
   std::uint64_t count = 0;
-  const core::AutoJoinReport report = core::JoinAuto(
+  const auto report = core::TryJoinAuto(
       {follows, posts, tags}, [&](std::span<const Value> row) {
         ++count;
         std::printf("  result:");
         for (Value v : row) std::printf(" %llu", (unsigned long long)v);
         std::printf("\n");
       });
+  if (!report.ok()) {
+    std::fprintf(stderr, "join failed: %s\n",
+                 report.status().ToString().c_str());
+    return 1;
+  }
 
-  std::printf("\nalgorithm: %s (%s)\n", report.algorithm.c_str(),
-              report.reason.c_str());
+  std::printf("\nalgorithm: %s (%s)\n", report->algorithm.c_str(),
+              report->reason.c_str());
   std::printf("results:   %llu\n", (unsigned long long)count);
   std::printf("I/O cost:  %s\n", dev.stats().ToString().c_str());
   std::printf("peak mem:  %llu tuples (M = %llu)\n",

@@ -82,12 +82,17 @@ int main() {
 
   const auto rels_yan = build(&dev_yan);
   std::uint64_t yresults = 0;
-  const core::YannakakisReport yr = core::YannakakisJoin(
+  const auto yr = core::TryYannakakisJoin(
       rels_yan, [&](std::span<const Value>) { ++yresults; });
+  if (!yr.ok()) {
+    std::fprintf(stderr, "Yannakakis failed: %s\n",
+                 yr.status().ToString().c_str());
+    return 1;
+  }
   std::printf("Yannakakis (pairwise, materializing):\n");
   std::printf("  results = %llu, intermediate tuples written = %llu\n",
               (unsigned long long)yresults,
-              (unsigned long long)yr.intermediate_tuples);
+              (unsigned long long)yr->intermediate_tuples);
   std::printf("  %s\n\n", dev_yan.stats().ToString().c_str());
 
   std::printf("I/O gap (Yannakakis / AcyclicJoin): %.2fx\n",

@@ -41,10 +41,14 @@ void RunScenario(const char* name, TupleCount parts, TupleCount components,
   std::printf("\n");
 
   std::uint64_t paths = 0;
-  const core::AutoJoinReport report =
-      core::JoinAuto(rels, [&](std::span<const Value>) { ++paths; });
-  std::printf("dispatcher:  %s\n", report.algorithm.c_str());
-  std::printf("reason:      %s\n", report.reason.c_str());
+  const auto report =
+      core::TryJoinAuto(rels, [&](std::span<const Value>) { ++paths; });
+  if (!report.ok()) {
+    std::printf("join failed: %s\n\n", report.status().ToString().c_str());
+    return;
+  }
+  std::printf("dispatcher:  %s\n", report->algorithm.c_str());
+  std::printf("reason:      %s\n", report->reason.c_str());
   std::printf("paths:       %llu\n", (unsigned long long)paths);
   std::printf("I/O:         %s\n\n", dev.stats().ToString().c_str());
 }

@@ -276,11 +276,4 @@ extmem::Result<AutoJoinReport> TryJoinAuto(
   });
 }
 
-AutoJoinReport JoinAuto(const std::vector<storage::Relation>& rels,
-                        const EmitFn& emit) {
-  extmem::Result<AutoJoinReport> result = TryJoinAuto(rels, emit);
-  if (!result.ok()) extmem::ThrowStatus(result.status());
-  return *std::move(result);
-}
-
 }  // namespace emjoin::core

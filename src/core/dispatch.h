@@ -21,7 +21,7 @@ std::optional<std::vector<query::EdgeId>> LineOrder(const query::JoinQuery& q);
 ///   N_i · N_{i+2} · … · N_j  ≥  N_{i+1} · N_{i+3} · … · N_{j−1}.
 bool IsBalancedLine(const std::vector<TupleCount>& sizes);
 
-/// Which algorithm JoinAuto selected, for reporting and tests.
+/// Which algorithm TryJoinAuto selected, for reporting and tests.
 struct AutoJoinReport {
   std::string algorithm;
   std::string reason;
@@ -38,16 +38,16 @@ struct AutoJoinReport {
 ///   - L8: balanced split if one exists, else end-relation nested loop
 ///     around the inner L7 dispatch;
 ///   - everything else: Algorithm 2 with the cost-guided chooser.
-AutoJoinReport JoinAuto(const std::vector<storage::Relation>& rels,
-                        const EmitFn& emit);
-
-/// JoinAuto with a typed result: the boundary where every failure mode
+///
+/// The result is typed: this is the boundary where every failure mode
 /// of a run surfaces as a Status instead of an abort or an escaping
 /// exception — kInvalidInput for a non-Berge-acyclic query, and the
 /// device-layer codes (kIoError, kDeviceFull, kBudgetExceeded,
 /// kDataLoss) for runs under fault injection or budget enforcement.
 /// Rows already emitted before a failure must be discarded by the
-/// caller; only an ok() result means the emitted set is complete.
+/// caller; only an ok() result means the emitted set is complete. A
+/// caller that wants the exception passes the status to
+/// extmem::ThrowStatus.
 [[nodiscard]] extmem::Result<AutoJoinReport> TryJoinAuto(
     const std::vector<storage::Relation>& rels, const EmitFn& emit);
 

@@ -9,8 +9,10 @@
 
 namespace emjoin::core {
 
-YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
-                                const EmitFn& emit, bool reduce_first) {
+namespace {
+
+YannakakisReport RunYannakakis(const std::vector<storage::Relation>& rels,
+                               const EmitFn& emit, bool reduce_first) {
   YannakakisReport report;
   if (rels.empty()) return report;
   trace::Span span(rels.front().device(), "yannakakis");
@@ -64,6 +66,8 @@ YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
   return report;
 }
 
+}  // namespace
+
 extmem::Result<YannakakisReport> TryYannakakisJoin(
     const std::vector<storage::Relation>& rels, const EmitFn& emit,
     bool reduce_first) {
@@ -78,7 +82,7 @@ extmem::Result<YannakakisReport> TryYannakakisJoin(
     }
   }
   return extmem::CatchStatus(
-      [&] { return YannakakisJoin(rels, emit, reduce_first); });
+      [&] { return RunYannakakis(rels, emit, reduce_first); });
 }
 
 }  // namespace emjoin::core

@@ -21,11 +21,7 @@ struct YannakakisReport {
 /// emit. Õ((ΣN + Σ|intermediate|)/B) I/Os — instance-optimal when results
 /// must be written out, but worse than Algorithm 2 by up to a factor of M
 /// in the emit model, which is what `emjoin_bench --only=yannakakis_gap`
-/// demonstrates.
-YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
-                                const EmitFn& emit, bool reduce_first = true);
-
-/// YannakakisJoin with a typed result (see TryJoinAuto for the error
+/// demonstrates. The result is typed (see TryJoinAuto for the error
 /// taxonomy and the partial-emission caveat).
 [[nodiscard]] extmem::Result<YannakakisReport> TryYannakakisJoin(
     const std::vector<storage::Relation>& rels, const EmitFn& emit,

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
@@ -187,10 +188,12 @@ class FileWriter {
   explicit FileWriter(FilePtr file) : file_(std::move(file)) {}
 
   ~FileWriter() {
-    // Finish() can raise a typed fault when an injector is active. If the
-    // destructor runs during an unwind the partial file is being
-    // abandoned anyway, so the trailing-block flush failure is dropped;
-    // callers that care about the flush call Finish() explicitly.
+    // During an unwind the partial file is being abandoned: its trailing
+    // block is neither flushed nor charged, so a kill stops the charges
+    // at its tick. Otherwise Finish() can raise a typed fault when an
+    // injector is active; the destructor drops it, and callers that care
+    // about the flush call Finish() explicitly.
+    if (std::uncaught_exceptions() > 0) return;
     try {
       Finish();
     } catch (const StatusException&) {

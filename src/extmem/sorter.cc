@@ -768,41 +768,22 @@ FilePtr MergeGroup(Device* dev, std::span<const FilePtr> group,
   return MergeWithEngine<LoserTree>(dev, group, w, key_cols);
 }
 
-void Checkpoint(SortManifest* manifest, std::vector<FilePtr> runs,
-                std::uint64_t passes) {
-  if (manifest == nullptr) return;
-  manifest->valid = true;
-  manifest->passes_done = passes;
-  manifest->runs = std::move(runs);
-}
+// How often one interrupted merge group is re-merged before its fault
+// fails the sort.
+constexpr std::uint32_t kGroupRetries = 2;
 
-// The sort engine behind ExternalSort / TryExternalSort. Raises
-// StatusException on unrecoverable faults, after checkpointing the
-// completed runs into `manifest` (when given) so a caller can resume.
-FilePtr SortImpl(const FileRange& input,
-                 std::span<const std::uint32_t> key_cols,
-                 SortManifest* manifest, const SortOptions& options) {
+}  // namespace
+
+FilePtr ExternalSort(const FileRange& input,
+                     std::span<const std::uint32_t> key_cols) {
   Device* dev = input.file->device();
   ScopedIoTag tag(dev, "sort");
   trace::Span span(dev, "sort");
   const std::uint32_t w = input.width();
-
-  const bool resuming = manifest != nullptr && manifest->valid;
-  if (input.empty() && !resuming) return dev->NewFile(w);
+  if (input.empty()) return dev->NewFile(w);
 
   std::vector<FilePtr> runs;
-  std::uint64_t passes = 0;
-  if (resuming) {
-    // Resume from the manifest's completed runs: run formation and any
-    // completed merge passes are not redone.
-    runs = manifest->runs;
-    passes = manifest->passes_done;
-    trace::Count(dev, "sort_resumes", 1);
-    if (runs.empty()) {
-      manifest->valid = false;
-      return dev->NewFile(w);
-    }
-  } else {
+  {
     trace::Span run_span(dev, "sort.runs");
     runs = FormRuns(input, key_cols);
     run_span.Count("runs_formed", runs.size());
@@ -810,7 +791,6 @@ FilePtr SortImpl(const FileRange& input,
       metrics::Histogram* hist = reg->GetHistogram("emjoin_sort_run_tuples");
       for (const FilePtr& run : runs) hist->Record(run->size());
     }
-    Checkpoint(manifest, runs, 0);
   }
 
   metrics::Histogram* fanin_hist = nullptr;
@@ -871,28 +851,15 @@ FilePtr SortImpl(const FileRange& input,
           const bool transient = (code == StatusCode::kIoError ||
                                   code == StatusCode::kDataLoss) &&
                                  (injector == nullptr || !injector->killed());
-          if (!transient || attempts >= options.group_retries) {
-            // Checkpoint what survived: this pass's merged groups plus
-            // the runs not yet consumed (including this group's inputs,
-            // which are intact — only the partial output is dropped).
-            std::vector<FilePtr> remaining = next;
-            remaining.insert(remaining.end(), runs.begin() + i, runs.end());
-            Checkpoint(manifest, std::move(remaining), passes);
-            throw;
-          }
+          if (!transient || attempts >= kGroupRetries) throw;
           ++attempts;
         }
       }
     }
     runs = std::move(next);
-    ++passes;
-    Checkpoint(manifest, runs, passes);
   }
-  if (manifest != nullptr) manifest->valid = false;  // consumed
   return runs.front();
 }
-
-}  // namespace
 
 std::uint64_t MergePassesFor(const Device& device, TupleCount n) {
   const TupleCount m = device.M();
@@ -907,17 +874,9 @@ std::uint64_t MergePassesFor(const Device& device, TupleCount n) {
   return passes;
 }
 
-FilePtr ExternalSort(const FileRange& input,
-                     std::span<const std::uint32_t> key_cols) {
-  return SortImpl(input, key_cols, nullptr, SortOptions{});
-}
-
 Result<FilePtr> TryExternalSort(const FileRange& input,
-                                std::span<const std::uint32_t> key_cols,
-                                SortManifest* manifest,
-                                const SortOptions& options) {
-  return CatchStatus(
-      [&] { return SortImpl(input, key_cols, manifest, options); });
+                                std::span<const std::uint32_t> key_cols) {
+  return CatchStatus([&] { return ExternalSort(input, key_cols); });
 }
 
 }  // namespace emjoin::extmem

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "extmem/file.h"
 #include "extmem/status.h"
@@ -16,33 +15,6 @@ namespace emjoin::extmem {
 [[nodiscard]] int CompareTuples(const Value* a, const Value* b,
                                 std::uint32_t width,
                                 std::span<const std::uint32_t> key_cols);
-
-/// Checkpoint of an in-progress external sort: the sorted runs that are
-/// already safely on the device, and how many merge passes completed.
-/// The sorter updates a caller-supplied manifest after run formation and
-/// after every merge pass (plus on failure, so the state at the point of
-/// an unrecoverable fault is captured); passing the same manifest back
-/// resumes from the completed runs instead of re-reading the input.
-/// Because the merge order is a total order (CompareTuples breaks every
-/// tie with the full tuple), a resumed sort produces bit-identical
-/// output regardless of how runs were regrouped across the interruption.
-struct SortManifest {
-  bool valid = false;
-  std::uint64_t passes_done = 0;
-  std::vector<FilePtr> runs;
-};
-
-/// Recovery knobs for the sorter itself, on top of the device-level
-/// retry policy: when the device gives up on a transfer inside one merge
-/// group (typed kIoError/kDataLoss), the sorter discards only that
-/// group's partial output and re-merges the group — completed groups and
-/// runs are never redone — up to `group_retries` times per group. The
-/// re-merge I/Os are charged under the "recovery" tag. A fired kill
-/// switch (FaultInjector::killed()) is never retried: the sorter
-/// checkpoints and rethrows, so the kill stops the query.
-struct SortOptions {
-  std::uint32_t group_retries = 2;
-};
 
 /// Standard external merge sort.
 ///
@@ -59,6 +31,14 @@ struct SortOptions {
 /// has shrunk the limit below M, the plan also leaves room for the
 /// tuples enclosing operators hold resident.
 ///
+/// Recovery, on top of the device-level retry policy: when the device
+/// gives up on a transfer inside one merge group (typed
+/// kIoError/kDataLoss), the sorter discards only that group's partial
+/// output and re-merges the group — completed groups and runs are never
+/// redone — up to twice per group. The re-merge I/Os are charged under
+/// the "recovery" tag. A fired kill switch (FaultInjector::killed()) is
+/// never retried: the sorter rethrows, so the kill stops the query.
+///
 /// @param input     tuples to sort (not modified).
 /// @param key_cols  column indices compared lexicographically, most
 ///                  significant first. Remaining columns break ties.
@@ -69,13 +49,11 @@ struct SortOptions {
 [[nodiscard]] FilePtr ExternalSort(const FileRange& input,
                                    std::span<const std::uint32_t> key_cols);
 
-/// ExternalSort with a typed result and optional resume support. On an
-/// unrecoverable fault the returned Status carries the fault, and
-/// `manifest` (when non-null) holds the completed runs; calling again
-/// with the same manifest resumes rather than restarting.
+/// ExternalSort with a typed result: on an unrecoverable fault the
+/// returned Status carries the fault. A failed sort keeps nothing to
+/// resume from; sorting again starts over.
 [[nodiscard]] Result<FilePtr> TryExternalSort(
-    const FileRange& input, std::span<const std::uint32_t> key_cols,
-    SortManifest* manifest = nullptr, const SortOptions& options = {});
+    const FileRange& input, std::span<const std::uint32_t> key_cols);
 
 /// Number of merge passes the sorter would use for `n` input tuples on
 /// `device` (run formation not counted). Exposed for I/O accounting tests.

@@ -327,7 +327,8 @@ std::vector<CostModel> Table1Models() {
                                    workload::OneToMany(dev, 1, 2, n, 1)};
     };
     m.exec = [](const std::vector<Relation>& rels, const core::EmitFn& emit) {
-      core::YannakakisJoin(rels, emit);
+      const auto joined = core::TryYannakakisJoin(rels, emit);
+      if (!joined.ok()) extmem::ThrowStatus(joined.status());
     };
     m.expected = [](TupleCount n, TupleCount /*mm*/, TupleCount bb) {
       return 2.0L * n * n / bb + 4.0L * n / bb;

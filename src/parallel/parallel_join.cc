@@ -13,8 +13,6 @@
 #include "metrics/registry.h"
 #include "parallel/shard_plan.h"
 #include "parallel/worker_pool.h"
-#include "recover/manifest.h"
-#include "recover/resume.h"
 #include "trace/tracer.h"
 
 namespace emjoin::parallel {
@@ -29,14 +27,12 @@ const char* InternShardName(std::uint32_t shard) {
   return names.insert("shard " + std::to_string(shard)).first->c_str();
 }
 
-// One shard's task state: the output rows it holds for the barrier
-// (`held`: its own buffer, or its child manifest's rows when a manifest
-// is bound) and its typed outcome. Each worker touches only its own
-// ShardRun and its own shard-local substrate, so the pool needs no
-// synchronization around these.
+// One shard's task state: the output rows it holds for the barrier and
+// its typed outcome. Each worker touches only its own ShardRun and its
+// own shard-local substrate, so the pool needs no synchronization
+// around these.
 struct ShardRun {
-  core::RowBuffer buffer;
-  core::RowBuffer* held = nullptr;
+  core::RowBuffer rows;
   std::optional<extmem::Result<core::AutoJoinReport>> outcome;
 };
 
@@ -52,15 +48,6 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   // K=1 (or degenerate input): the exact serial path on the source
   // device — no partitioning, no extra devices, bit-identical I/O.
   if (report.shards == 1 || rels.empty()) {
-    if (options.manifest != nullptr) {
-      // The resumable join counts the rows it hands to `emit` itself.
-      extmem::Result<recover::ResumeReport> r =
-          recover::TryResumableJoinAuto(rels, emit, options.manifest);
-      if (!r.ok()) return r.status();
-      report.auto_report = r->join;
-      report.results = r->emitted_rows;
-      return report;
-    }
     std::uint64_t rows = 0;
     const core::EmitFn counted = [&rows, &emit](std::span<const Value> row) {
       ++rows;
@@ -78,17 +65,6 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   const std::uint32_t k = plan.shards;
   report.sharded = true;
   report.partition_attr = plan.partition_attr;
-
-  // Bind the manifest (fingerprint check) and create every shard child
-  // on the orchestrating thread — workers then touch only their own
-  // child, the same confinement discipline as devices and tracers.
-  recover::QueryManifest* manifest = options.manifest;
-  std::vector<recover::QueryManifest*> children(k, nullptr);
-  if (manifest != nullptr) {
-    if (extmem::Status s = manifest->Bind(rels, k); !s.ok()) return s;
-    if (extmem::Status s = manifest->BindOrder(*src); !s.ok()) return s;
-    for (std::uint32_t s = 0; s < k; ++s) children[s] = &manifest->Shard(s);
-  }
 
   // Shard-local substrate: each shard owns a Device with budget
   // max(M/K, B), plus its own Tracer / Registry / FaultInjector when the
@@ -153,17 +129,12 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   report.partition_io = src->stats() - src_before;
 
   std::vector<ShardRun> runs(k);
-  for (std::uint32_t s = 0; s < k; ++s) {
-    runs[s].held =
-        children[s] != nullptr ? &children[s]->journal() : &runs[s].buffer;
-  }
   {
     WorkerPool pool(report.workers);
     for (std::uint32_t s = 0; s < k; ++s) {
-      pool.Submit([s, &runs, &fragments, &raw_devices, &children] {
+      pool.Submit([s, &runs, &fragments, &raw_devices] {
         ShardRun& run = runs[s];
         extmem::Device* dev = raw_devices[s];
-        recover::QueryManifest* child = children[s];
         const auto emit_lifecycle = [dev](extmem::ObsEventKind kind,
                                           std::uint64_t outcome) {
           if (extmem::IoEventSink* sink = dev->events()) {
@@ -171,17 +142,6 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
           }
         };
         emit_lifecycle(extmem::ObsEventKind::kShardStart, 0);
-        if (child != nullptr && child->PhaseCompleted("join")) {
-          // This shard finished in a prior attempt: zero-I/O resume —
-          // the barrier reuses the rows its child manifest holds.
-          run.outcome = core::AutoJoinReport{
-              "resume", "shard join already completed in manifest"};
-          emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
-          return;
-        }
-        // Rows held from an interrupted run of this shard never reached
-        // the sink: the shard starts over.
-        run.held->Clear();
         const std::vector<storage::Relation>& shard_rels = fragments[s];
         const bool any_empty =
             std::any_of(shard_rels.begin(), shard_rels.end(),
@@ -189,7 +149,6 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
         if (any_empty) {
           // An empty fragment empties the whole shard-local join; skip
           // the operator instead of paying its fixed I/O for zero rows.
-          if (child != nullptr) child->MarkPhase("join");
           run.outcome = core::AutoJoinReport{
               "empty-shard", "an input fragment is empty on this shard"};
           emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
@@ -198,10 +157,9 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
         // TryJoinAuto converts every failure into a Status internally,
         // so no exception crosses the thread boundary.
         run.outcome = core::TryJoinAuto(
-            shard_rels, [held = run.held](std::span<const Value> row) {
-              held->Append(row);
+            shard_rels, [&rows = run.rows](std::span<const Value> row) {
+              rows.Append(row);
             });
-        if (child != nullptr && run.outcome->ok()) child->MarkPhase("join");
         emit_lifecycle(extmem::ObsEventKind::kShardFinish,
                        run.outcome->ok() ? 1 : 0);
       });
@@ -216,20 +174,10 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   }
 
   // Hand the held rows to the sink in shard order: the emitted sequence
-  // depends only on the inputs and K, never on worker interleaving. The
-  // barrier charges no I/O, so a kill never lands inside it and the
-  // watermark is 0 or every row; the skip drops the rows a completed
-  // earlier attempt already delivered.
-  std::uint64_t ordinal = 0;
-  for (std::uint32_t s = 0; s < k; ++s) {
-    const core::RowBuffer& held = *runs[s].held;
-    for (std::uint64_t i = 0; i < held.rows(); ++i) {
-      if (manifest == nullptr || manifest->Deliver(ordinal++)) {
-        emit(held.row(i));
-      }
-    }
+  // depends only on the inputs and K, never on worker interleaving.
+  for (const ShardRun& run : runs) {
+    for (std::uint64_t i = 0; i < run.rows.rows(); ++i) emit(run.rows.row(i));
   }
-  if (manifest != nullptr) manifest->MarkPhase("join");
 
   // Merge shard observability into the source's sinks at the barrier.
   report.per_shard.reserve(k);
@@ -239,7 +187,7 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     sr.tags = devices[s]->per_tag();
     sr.peak_resident = devices[s]->gauge().high_water();
     if (injectors[s] != nullptr) sr.faults = injectors[s]->stats();
-    sr.results = runs[s].held->rows();
+    sr.results = runs[s].rows.rows();
     sr.report = runs[s].outcome->value();
 
     report.results += sr.results;

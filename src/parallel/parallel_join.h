@@ -17,16 +17,15 @@ namespace emjoin::metrics {
 class Registry;
 }  // namespace emjoin::metrics
 
-namespace emjoin::recover {
-class QueryManifest;
-}  // namespace emjoin::recover
-
 namespace emjoin::parallel {
 
 /// Knobs for a sharded run. shards == 1 is the exact serial path
 /// (TryJoinAuto on the source device — bit-identical I/O counts, pinned
 /// by tests). shards >= 2 hash-partitions onto per-shard devices and
-/// runs shard-local joins on `workers` pool threads.
+/// runs shard-local joins on `workers` pool threads. No option carries a
+/// checkpoint: a resumed query re-runs every shard, and the caller's
+/// skip (recover::TryJoinPastWatermark, through run::Runner) drops the
+/// rows an earlier attempt delivered.
 struct ParallelOptions {
   std::uint32_t shards = 1;
   std::uint32_t workers = 1;
@@ -37,14 +36,6 @@ struct ParallelOptions {
   /// RequestKill(); without either, shards run injector-free.
   bool faults = false;
   extmem::FaultConfig fault_config;
-  /// Optional whole-query checkpoint. When set, every shard holds its
-  /// output in its own child manifest (`manifest->Shard(s)`) as it
-  /// runs; shards whose "join" phase is already completed in a loaded
-  /// manifest are skipped outright (the barrier reuses their held rows,
-  /// with zero shard I/O), and the barrier skips the rows the query's
-  /// watermark counts as delivered. K == 1 routes through
-  /// recover::TryResumableJoinAuto. Not owned; must outlive the call.
-  recover::QueryManifest* manifest = nullptr;
 };
 
 /// What one shard did: its device's whole-run I/O, per-tag breakdown
@@ -95,7 +86,7 @@ struct ParallelJoinReport {
 
 /// Sharded top-level join. Hash-partitions `rels` per PlanShards (each
 /// broadcast relation sorted once, at the source), runs the existing
-/// JoinAuto dispatch shard-locally on a WorkerPool, and
+/// TryJoinAuto dispatch shard-locally on a WorkerPool, and
 /// replays each shard's buffered output through `emit` in shard order at
 /// the barrier — so the emitted sequence is a pure function of the
 /// inputs and shard count, never of thread interleaving (pinned by the

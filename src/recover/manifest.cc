@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <fstream>
-#include <sstream>
 
 #include "extmem/fault_injector.h"
 
@@ -25,8 +24,9 @@ std::uint64_t MixDouble(std::uint64_t h, double v) {
   return Mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
-// v2 counts delivered rows; v1 journaled them.
-constexpr char kMagic[] = "emjoin-manifest v2";
+// v3 holds four values; v2 also held each shard's rows, and v1
+// journaled every delivered row.
+constexpr char kMagic[] = "emjoin-manifest v3";
 
 extmem::Status Malformed(const std::string& path, const std::string& what) {
   return extmem::Status(extmem::StatusCode::kInvalidInput,
@@ -93,7 +93,7 @@ extmem::Status QueryManifest::Bind(const std::vector<storage::Relation>& rels,
 
 extmem::Status QueryManifest::BindOrder(const extmem::Device& dev) {
   const std::uint64_t key = OrderKeyOf(dev);
-  if (watermark_ > 0 && !PhaseCompleted("join") && key != order_key_) {
+  if (watermark_ > 0 && !complete_ && key != order_key_) {
     return extmem::Status(
         extmem::StatusCode::kInvalidInput,
         "manifest order key mismatch: its watermark of " +
@@ -109,66 +109,13 @@ extmem::Status QueryManifest::BindOrder(const extmem::Device& dev) {
 
 void QueryManifest::Rewind() {
   watermark_ = 0;
-  for (PhaseRecord& p : phases_) {
-    if (p.name == "join") p.completed = false;
-  }
+  complete_ = false;
 }
 
-void QueryManifest::MarkPhase(const std::string& name) {
-  for (PhaseRecord& p : phases_) {
-    if (p.name == name) {
-      p.completed = true;
-      return;
-    }
-  }
-  phases_.push_back(PhaseRecord{name, true});
+const core::RowBuffer& QueryManifest::journal() const {
+  static const core::RowBuffer kEmpty;
+  return kEmpty;
 }
-
-bool QueryManifest::PhaseCompleted(const std::string& name) const {
-  for (const PhaseRecord& p : phases_) {
-    if (p.name == name) return p.completed;
-  }
-  return false;
-}
-
-QueryManifest& QueryManifest::Shard(std::uint32_t s) {
-  if (s >= shards_.size()) shards_.resize(s + 1);
-  if (!shards_[s]) shards_[s] = std::make_unique<QueryManifest>();
-  return *shards_[s];
-}
-
-void QueryManifest::ReleaseRows() {
-  for (const std::unique_ptr<QueryManifest>& shard : shards_) {
-    if (shard) {
-      shard->held_.Clear();
-      shard->Rewind();
-    }
-  }
-}
-
-namespace {
-
-void WriteBody(std::ostream& out, const QueryManifest& m) {
-  out << "fingerprint " << m.fingerprint() << "\n";
-  out << "order " << m.order_key() << "\n";
-  out << "watermark " << m.watermark() << "\n";
-  out << "phases " << m.phases().size() << "\n";
-  for (const PhaseRecord& p : m.phases()) {
-    out << "phase " << (p.completed ? 1 : 0) << " " << p.name << "\n";
-  }
-  const core::RowBuffer& held = m.journal();
-  out << "rows " << held.width() << " " << held.rows() << "\n";
-  for (std::uint64_t r = 0; r < held.rows(); ++r) {
-    const std::span<const Value> row = held.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << " ";
-      out << row[c];
-    }
-    out << "\n";
-  }
-}
-
-}  // namespace
 
 extmem::Status QueryManifest::WriteTo(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
@@ -176,15 +123,12 @@ extmem::Status QueryManifest::WriteTo(const std::string& path) const {
     return extmem::Status(extmem::StatusCode::kIoError,
                           "manifest " + path + ": cannot open for writing");
   }
-  out << kMagic << "\n";
-  WriteBody(out, *this);
-  out << "shards " << shards_.size() << "\n";
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s]) continue;
-    out << "shard " << s << "\n";
-    WriteBody(out, *shards_[s]);
-  }
-  out << "end\n";
+  out << kMagic << "\n"
+      << "fingerprint " << fingerprint_ << "\n"
+      << "order " << order_key_ << "\n"
+      << "watermark " << watermark_ << "\n"
+      << "complete " << (complete_ ? 1 : 0) << "\n"
+      << "end\n";
   out.flush();
   if (!out) {
     return extmem::Status(extmem::StatusCode::kIoError,
@@ -203,69 +147,24 @@ extmem::Status QueryManifest::ReadFrom(const std::string& path) {
   if (!std::getline(in, line) || line != kMagic) {
     return Malformed(path, "bad magic line");
   }
-
-  const auto read_body = [&](QueryManifest* m) -> extmem::Status {
-    std::string word;
-    if (!(in >> word) || word != "fingerprint" || !(in >> m->fingerprint_)) {
-      return Malformed(path, "expected fingerprint");
-    }
-    if (!(in >> word) || word != "order" || !(in >> m->order_key_)) {
-      return Malformed(path, "expected order key");
-    }
-    if (!(in >> word) || word != "watermark" || !(in >> m->watermark_)) {
-      return Malformed(path, "expected watermark");
-    }
-    std::size_t nphases = 0;
-    if (!(in >> word) || word != "phases" || !(in >> nphases)) {
-      return Malformed(path, "expected phase count");
-    }
-    m->phases_.clear();
-    for (std::size_t i = 0; i < nphases; ++i) {
-      PhaseRecord p;
-      int completed = 0;
-      if (!(in >> word) || word != "phase" || !(in >> completed)) {
-        return Malformed(path, "malformed phase record");
-      }
-      p.completed = completed != 0;
-      // The phase name is the remainder of the line (may contain spaces).
-      std::getline(in, line);
-      const std::size_t start = line.find_first_not_of(' ');
-      p.name = start == std::string::npos ? "" : line.substr(start);
-      m->phases_.push_back(std::move(p));
-    }
-    std::uint32_t width = 0;
-    std::uint64_t rows = 0;
-    if (!(in >> word) || word != "rows" || !(in >> width) || !(in >> rows)) {
-      return Malformed(path, "expected held rows header");
-    }
-    m->held_.Clear();
-    std::vector<Value> row(width);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      for (Value& v : row) {
-        if (!(in >> v)) return Malformed(path, "truncated held row data");
-      }
-      m->held_.Append(row);
-    }
-    return extmem::Status::Ok();
-  };
-
-  if (extmem::Status s = read_body(this); !s.ok()) return s;
-
   std::string word;
-  std::size_t nshards = 0;
-  if (!(in >> word) || word != "shards" || !(in >> nshards)) {
-    return Malformed(path, "expected shard count");
+  if (!(in >> word) || word != "fingerprint" || !(in >> fingerprint_)) {
+    return Malformed(path, "expected fingerprint");
   }
-  shards_.clear();
-  while (in >> word && word == "shard") {
-    std::size_t s = 0;
-    if (!(in >> s) || s >= nshards) return Malformed(path, "bad shard id");
-    if (extmem::Status st = read_body(&Shard(static_cast<std::uint32_t>(s)));
-        !st.ok()) {
-      return st;
-    }
+  if (!(in >> word) || word != "order" || !(in >> order_key_)) {
+    return Malformed(path, "expected order key");
   }
-  if (word != "end") return Malformed(path, "missing end marker");
+  if (!(in >> word) || word != "watermark" || !(in >> watermark_)) {
+    return Malformed(path, "expected watermark");
+  }
+  int complete = 0;
+  if (!(in >> word) || word != "complete" || !(in >> complete)) {
+    return Malformed(path, "expected completed flag");
+  }
+  complete_ = complete != 0;
+  if (!(in >> word) || word != "end") {
+    return Malformed(path, "missing end marker");
+  }
   return extmem::Status::Ok();
 }
 

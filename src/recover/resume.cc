@@ -2,21 +2,18 @@
 
 namespace emjoin::recover {
 
-extmem::Result<ResumeReport> TryResumableJoinAuto(
+extmem::Result<ResumeReport> TryJoinPastWatermark(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
-    QueryManifest* manifest) {
+    QueryManifest* manifest, const JoinFn& join) {
   ResumeReport report;
-  if (extmem::Status s = manifest->Bind(rels, /*shards=*/1); !s.ok()) {
-    return s;
-  }
   report.watermark_rows = manifest->watermark();
 
-  if (manifest->PhaseCompleted("join")) {
+  if (manifest->complete()) {
     // Nothing to run: the interrupted attempt finished the join and the
     // sink has every row.
     report.already_complete = true;
     report.join.algorithm = "resume";
-    report.join.reason = "join phase already completed in manifest";
+    report.join.reason = "join already completed in manifest";
     return report;
   }
   if (!rels.empty()) {
@@ -36,8 +33,7 @@ extmem::Result<ResumeReport> TryResumableJoinAuto(
     ++report.emitted_rows;
     emit(row);
   };
-  extmem::Result<core::AutoJoinReport> joined =
-      core::TryJoinAuto(rels, skipping);
+  extmem::Result<core::AutoJoinReport> joined = join(skipping);
   if (!joined.ok()) {
     // The watermark now counts everything delivered up to the fault —
     // the caller persists it and the next attempt resumes from here.
@@ -50,9 +46,21 @@ extmem::Result<ResumeReport> TryResumableJoinAuto(
             " rows exceeds the query's " + std::to_string(ordinal) +
             " result rows");
   }
-  report.join = *joined;
-  manifest->MarkPhase("join");
+  report.join = *std::move(joined);
+  manifest->MarkComplete();
   return report;
+}
+
+extmem::Result<ResumeReport> TryResumableJoinAuto(
+    const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
+    QueryManifest* manifest) {
+  if (extmem::Status s = manifest->Bind(rels, /*shards=*/1); !s.ok()) {
+    return s;
+  }
+  return TryJoinPastWatermark(rels, emit, manifest,
+                              [&rels](const core::EmitFn& sink) {
+                                return core::TryJoinAuto(rels, sink);
+                              });
 }
 
 }  // namespace emjoin::recover

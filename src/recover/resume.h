@@ -2,6 +2,7 @@
 #define EMJOIN_RECOVER_RESUME_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/dispatch.h"
@@ -24,20 +25,31 @@ struct ResumeReport {
   core::AutoJoinReport join;
 };
 
-/// JoinAuto made whole-query resumable (K = 1; sharded execution wires
-/// the manifest through parallel::ParallelOptions instead). Binds
-/// `manifest` to the query (fingerprint check) and to the device's
-/// emission order (QueryManifest::BindOrder), runs the join, drops the
-/// first `watermark` rows it emits — a prior interrupted attempt
-/// delivered exactly those — and counts every later row into the
-/// watermark before it reaches `emit`. On success it marks the "join"
-/// phase complete, so a further resume runs nothing. The manifest never
-/// holds a row; a caller whose sink starts empty rewinds the watermark
-/// after binding (run::Runner's replay_watermark) and the join
-/// re-derives every row. The manifest is updated in place on BOTH
-/// success and failure; persisting it after a failed attempt
+/// A query's join, run with the sink its rows go to.
+using JoinFn =
+    std::function<extmem::Result<core::AutoJoinReport>(const core::EmitFn&)>;
+
+/// The one skip, for every shard count. Returns at once when `manifest`
+/// is complete. Otherwise binds the emission order of `rels`' device
+/// (QueryManifest::BindOrder), runs `join`, drops the first `watermark`
+/// rows it emits — an earlier interrupted attempt delivered exactly
+/// those — and counts every later row into the watermark before it
+/// reaches `emit`. A watermark past the join's whole output is refused
+/// (kInvalidInput): the manifest counted another instance's rows. On
+/// success it marks the manifest complete. The caller binds the
+/// fingerprint first. The manifest is updated in place on BOTH success
+/// and failure; persisting it after a failed attempt
 /// (QueryManifest::WriteTo) is exactly what makes the next attempt a
 /// resume instead of a restart.
+[[nodiscard]] extmem::Result<ResumeReport> TryJoinPastWatermark(
+    const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
+    QueryManifest* manifest, const JoinFn& join);
+
+/// core::TryJoinAuto made whole-query resumable (K = 1): binds the
+/// fingerprint with one shard, then runs the join through
+/// TryJoinPastWatermark. The manifest never holds a row; a caller whose
+/// sink starts empty rewinds the watermark after binding
+/// (run::Runner's replay_watermark) and the join re-derives every row.
 [[nodiscard]] extmem::Result<ResumeReport> TryResumableJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
     QueryManifest* manifest);

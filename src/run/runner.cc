@@ -9,6 +9,7 @@
 #include "metrics/collect.h"
 #include "parallel/shard_plan.h"
 #include "query/hypergraph.h"
+#include "recover/resume.h"
 #include "storage/csv.h"
 
 namespace emjoin::run {
@@ -124,12 +125,34 @@ extmem::Result<RunReport> Runner::Join(
   options.workers = ctx_.workers;
   options.faults = ctx_.faults;
   options.fault_config = ctx_.fault_config;
-  options.manifest = ctx_.manifest;
-  auto joined =
-      parallel::TryParallelJoinAuto(relations_, emit, options, ctx_.metrics);
-  if (!joined.ok()) return joined.status();
-  report.join = joined->auto_report;
-  report.parallel = *std::move(joined);
+  const recover::JoinFn join =
+      [&](const core::EmitFn& sink) -> extmem::Result<core::AutoJoinReport> {
+    auto joined =
+        parallel::TryParallelJoinAuto(relations_, sink, options, ctx_.metrics);
+    if (!joined.ok()) return joined.status();
+    report.parallel = *std::move(joined);
+    return report.parallel.auto_report;
+  };
+  if (ctx_.manifest == nullptr) {
+    const auto joined = join(emit);
+    if (!joined.ok()) return joined.status();
+    report.join = *joined;
+    return report;
+  }
+  // K = 1 goes straight to the resumable join, so a row passes two
+  // std::function hops, the skip and the sink; K > 1 passes its barrier
+  // rows through the same skip.
+  const auto resumed =
+      ctx_.shards <= 1
+          ? recover::TryResumableJoinAuto(relations_, emit, ctx_.manifest)
+          : recover::TryJoinPastWatermark(relations_, emit, ctx_.manifest,
+                                          join);
+  if (!resumed.ok()) return resumed.status();
+  report.join = resumed->join;
+  if (!report.parallel.sharded) {
+    report.parallel.auto_report = resumed->join;
+    report.parallel.results = resumed->emitted_rows;
+  }
   return report;
 }
 

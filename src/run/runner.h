@@ -46,10 +46,12 @@ struct RunContext {
   bool faults = false;
   extmem::FaultConfig fault_config;
 
-  /// Whole-query checkpoint. `replay_watermark` is for a sink that
-  /// starts empty: the manifest's watermark is rewound after the bind,
-  /// so the join re-derives and delivers every row, including those an
-  /// earlier attempt delivered.
+  /// Whole-query checkpoint, for every shard count: the join's rows
+  /// pass recover::TryJoinPastWatermark, which drops the ones an earlier
+  /// attempt delivered. `replay_watermark` is for a sink that starts
+  /// empty: the manifest's watermark is rewound after the bind, so the
+  /// join re-derives and delivers every row, including those an earlier
+  /// attempt delivered.
   recover::QueryManifest* manifest = nullptr;
   bool replay_watermark = false;
 

@@ -132,7 +132,6 @@ void QuerySession::AbsorbAttempt(const metrics::Registry& attempt_registry,
                                  const extmem::FaultStats& faults,
                                  const extmem::Status& status) {
   const std::uint64_t rows = manifest_.watermark();
-  if (status.ok()) manifest_.ReleaseRows();
   const std::lock_guard<std::mutex> lock(mu_);
   registry_.MergeFrom(attempt_registry);
   io_ += io;

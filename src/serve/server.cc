@@ -555,8 +555,7 @@ void Server::RunSession(QuerySession* session) {
   if (!options_.manifest_dir.empty()) {
     // Best-effort persistence after every attempt: this is what makes
     // a killed query resumable across daemon restarts, not just across
-    // re-submissions to this process. It runs before AbsorbAttempt
-    // releases a completed session's held shard rows.
+    // re-submissions to this process.
     const extmem::Status persisted =
         session->manifest().WriteTo(ManifestPathFor(session->id()));
     static_cast<void>(persisted);

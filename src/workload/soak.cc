@@ -53,38 +53,18 @@ struct BodyResult {
   std::uint64_t rows = 0;
   std::uint64_t hash = kFnvOffset;
   std::uint64_t set_hash = 0;  // commutative: sum of per-row FNV hashes
-  bool resumed = false;
   extmem::FaultStats shard_faults;  // per-shard injector tallies (sharded)
   extmem::IoStats shard_recovery;   // shard devices' "recovery" charges
   extmem::IoStats shard_total;      // shard devices' whole-run totals
 };
 
-// One checkpointed sort of `input` with a single manifest resume on a
-// transient failure (faults stay active, so the retry may itself end in
-// a typed error). Shared by the serial and sharded sort workloads.
-extmem::FilePtr SortWithOneResume(const extmem::FilePtr& input,
-                                  bool* resumed) {
+// Sorts `input` on its first column and hashes the output via uncharged
+// raw access (a correctness oracle, exempt from the cost model like the
+// sorter's own tests). Shared by the serial and sharded sort workloads.
+void SortAndHash(const extmem::FilePtr& input, BodyResult* out) {
   const std::uint32_t key[] = {0};
-  extmem::SortManifest manifest;
-  auto sorted =
-      extmem::TryExternalSort(extmem::FileRange(input), key, &manifest);
-  if (!sorted.ok()) {
-    const extmem::StatusCode code = sorted.status().code();
-    const bool transient = code == extmem::StatusCode::kIoError ||
-                           code == extmem::StatusCode::kDataLoss;
-    if (transient && manifest.valid) {
-      *resumed = true;
-      sorted =
-          extmem::TryExternalSort(extmem::FileRange(input), key, &manifest);
-    }
-  }
-  if (!sorted.ok()) extmem::ThrowStatus(sorted.status());
-  return *std::move(sorted);
-}
-
-// Content hash via uncharged raw access (a correctness oracle, exempt
-// from the cost model like the sorter's own tests).
-void HashSortedFile(const extmem::FilePtr& file, BodyResult* out) {
+  const extmem::FilePtr file =
+      extmem::ExternalSort(extmem::FileRange(input), key);
   out->rows += file->size();
   for (TupleCount i = 0; i < file->size(); ++i) {
     const Value* t = file->RawTuple(i);
@@ -111,15 +91,14 @@ BodyResult RunSort(extmem::Device* dev, const SoakPlan& plan, bool inject) {
       }
       writer.Finish();
     }
-    HashSortedFile(SortWithOneResume(input, &out.resumed), &out);
+    SortAndHash(input, &out);
     return out;
   }
 
   // Sharded sort: partition the same deterministic stream by key across
   // K shard devices (budget max(M/K, 4B), per-shard injectors seeded
-  // seed + shard id), run each fragment's checkpointed sort with its own
-  // SortManifest — so manifest resume is exercised under K > 1 — and
-  // fold the outputs in shard order.
+  // seed + shard id), sort each fragment on its own device, and fold the
+  // outputs in shard order.
   const std::uint32_t k = plan.shards;
   const TupleCount shard_mem =
       std::max<TupleCount>(plan.memory / k, 4 * plan.block);
@@ -148,9 +127,7 @@ BodyResult RunSort(extmem::Device* dev, const SoakPlan& plan, bool inject) {
     }
     for (auto& w : writers) w->Finish();
   }
-  for (std::uint32_t s = 0; s < k; ++s) {
-    HashSortedFile(SortWithOneResume(inputs[s], &out.resumed), &out);
-  }
+  for (std::uint32_t s = 0; s < k; ++s) SortAndHash(inputs[s], &out);
   for (std::uint32_t s = 0; s < k; ++s) {
     if (injectors[s]) out.shard_faults = out.shard_faults + injectors[s]->stats();
     for (const auto& [tag, stats] : devices[s]->per_tag()) {
@@ -301,8 +278,8 @@ SoakPlan PlanFromSeed(std::uint64_t seed) {
   // and the shard-failure-to-Status path. Drawn last: plans for a given
   // seed keep every choice above identical to the unsharded planner, so
   // replay lines from before sharding existed still reproduce. A third
-  // of the sort runs shard too (K partitioned inputs, each with its own
-  // SortManifest), covering manifest resume under K > 1.
+  // of the sort runs shard too (K partitioned inputs, each sorted on its
+  // own shard device and injector).
   if (plan.workload == 0) {
     if (rng() % 3 == 0) plan.shards = Pick<std::uint32_t>(rng, {2, 3, 4});
   } else if (!plan.use_yannakakis && rng() % 3 == 0) {
@@ -329,7 +306,6 @@ SoakOutcome RunPlan(const SoakPlan& plan, bool inject) {
     out.rows = body->rows;
     out.hash = body->hash;
     out.set_hash = body->set_hash;
-    out.resumed_sort = body->resumed;
   } else {
     out.status = body.status();
   }
@@ -358,7 +334,6 @@ std::string ReplayLine(const SoakPlan& plan, const SoakOutcome& outcome) {
   if (outcome.completed) {
     os << " -> ok rows=" << outcome.rows << " hash=" << std::hex
        << outcome.hash << std::dec;
-    if (outcome.resumed_sort) os << " (resumed)";
   } else {
     os << " -> " << outcome.status.ToString();
   }

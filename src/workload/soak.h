@@ -35,10 +35,10 @@ struct SoakPlan {
   TupleCount block = 16;
   bool use_yannakakis = false;            // joins only
   /// shards >= 2 runs a join sharded through the query runner (auto
-  /// dispatch only) and a sort through K shard devices each running its
-  /// own SortManifest-checkpointed sort: per-shard injectors are seeded
-  /// faults.seed + shard id, so the sharded fault schedule is as
-  /// replayable as the serial one.
+  /// dispatch only) and a sort through K shard devices each sorting its
+  /// own fragment: per-shard injectors are seeded faults.seed + shard
+  /// id, so the sharded fault schedule is as replayable as the serial
+  /// one.
   std::uint32_t shards = 1;
   std::uint32_t workers = 1;
   std::vector<TupleCount> params;         // workload-specific sizes
@@ -61,7 +61,6 @@ struct SoakOutcome {
   /// baseline, OR the run degraded under budget shrinks (smaller chunk
   /// plans legally reorder emissions) and rows and `set_hash` match.
   std::uint64_t set_hash = 0;
-  bool resumed_sort = false;  // the sort workload resumed from a manifest
 
   /// Injector tallies (zero for baselines). For sharded runs that
   /// complete, the per-shard injectors' tallies are folded in on top of
@@ -99,8 +98,8 @@ struct KillResumeOutcome {
 };
 
 /// `shards` == 1 exercises the serial resume path, >= 2 the sharded one
-/// (per-shard manifests; completed shards skip on resume). The workload,
-/// geometry, and kill tick all derive from `seed`.
+/// (a resume re-runs every shard). The workload, geometry, and kill tick
+/// all derive from `seed`.
 KillResumeOutcome RunKillResume(std::uint64_t seed, std::uint32_t shards);
 
 }  // namespace emjoin::workload

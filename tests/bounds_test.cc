@@ -138,9 +138,10 @@ TEST(DispatchBoundTest, UnbalancedL5BeatsTheBalancedBoundTerm) {
             rels[1].size() * rels[3].size());
   core::CountingSink sink;
   const extmem::IoStats before = dev.stats();
-  const core::AutoJoinReport report = core::JoinAuto(rels, sink.AsEmitFn());
+  const auto report = core::TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   const double used = static_cast<double>((dev.stats() - before).total());
-  EXPECT_EQ(report.algorithm, "LineJoinUnbalanced5");
+  EXPECT_EQ(report->algorithm, "LineJoinUnbalanced5");
   const double balanced_term =
       static_cast<double>(rels[1].size()) * rels[3].size() /
       (static_cast<double>(dev.M()) * dev.M() * dev.B());

@@ -38,8 +38,9 @@ TEST(DispatchRoutesTest, L7CoverCaseUsesDoubleNestedLoopAroundAlg4) {
   EXPECT_EQ(cover.edges, (std::vector<query::EdgeId>{0, 1, 3, 5, 6}));
 
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
-  EXPECT_EQ(report.algorithm, "L7=NL(R1,R7, Alg4)");
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->algorithm, "L7=NL(R1,R7, Alg4)");
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
 }
 
@@ -63,9 +64,10 @@ TEST(DispatchRoutesTest, FullyReducedL8AlwaysHasABalancedSplit) {
   rels.push_back(workload::Matching(&dev, 7, 8, 32));
 
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
-  EXPECT_EQ(report.algorithm, "AcyclicJoin") << report.reason;
+  EXPECT_EQ(report->algorithm, "AcyclicJoin") << report->reason;
 }
 
 TEST(DispatchRoutesTest, BalancedL8UsesAlgorithm2) {
@@ -74,8 +76,9 @@ TEST(DispatchRoutesTest, BalancedL8UsesAlgorithm2) {
   const auto rels = workload::CrossProductLine(
       &dev, {1, 8, 1, 8, 1, 8, 1, 8, 1});
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
-  EXPECT_EQ(report.algorithm, "AcyclicJoin");
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->algorithm, "AcyclicJoin");
   EXPECT_EQ(sink.results().size(),
             static_cast<std::size_t>(8 * 8 * 8 * 8));
 }
@@ -88,9 +91,10 @@ TEST(DispatchRoutesTest, NineRelationLineFallsBackToAlgorithm2) {
   const auto rels = workload::RandomInstance(
       &dev, query::JoinQuery::Line(9), std::vector<TupleCount>(9, 8), opts);
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
-  EXPECT_EQ(report.algorithm, "AcyclicJoin");
+  EXPECT_EQ(report->algorithm, "AcyclicJoin");
 }
 
 TEST(DispatchRoutesTest, TwoRelationQueriesSkipLineMachinery) {
@@ -98,8 +102,9 @@ TEST(DispatchRoutesTest, TwoRelationQueriesSkipLineMachinery) {
   const auto r1 = test::MakeRel(&dev, {0, 1}, {{1, 2}, {3, 4}});
   const auto r2 = test::MakeRel(&dev, {1, 2}, {{2, 9}});
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto({r1, r2}, sink.AsEmitFn());
-  EXPECT_EQ(report.algorithm, "AcyclicJoin");
+  const auto report = TryJoinAuto({r1, r2}, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->algorithm, "AcyclicJoin");
   EXPECT_EQ(sink.results().size(), 1u);
 }
 

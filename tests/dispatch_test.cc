@@ -48,10 +48,11 @@ TEST(BalanceTest, KnownCases) {
 void ExpectAutoMatches(const std::vector<storage::Relation>& rels,
                        const std::string& expected_algorithm = "") {
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
   if (!expected_algorithm.empty()) {
-    EXPECT_EQ(report.algorithm, expected_algorithm);
+    EXPECT_EQ(report->algorithm, expected_algorithm);
   }
 }
 
@@ -64,9 +65,10 @@ TEST(JoinAutoTest, RoutesBalancedLine5ToAcyclicJoin) {
       &dev, query::JoinQuery::Line(5), std::vector<TupleCount>(5, 16), opts);
   // Random equal-size instances are essentially balanced after reduction.
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
-  EXPECT_FALSE(report.algorithm.empty());
+  EXPECT_FALSE(report->algorithm.empty());
 }
 
 TEST(JoinAutoTest, RoutesUnbalancedL5ToAlgorithm4) {
@@ -88,10 +90,11 @@ TEST(JoinAutoTest, RoutesUnbalancedL6ThroughItsBalancedSplit) {
   for (Value i = 0; i < 4; ++i) r6_rows.push_back({i, 100 + i});
   rels.push_back(test::MakeRel(&dev, {5, 6}, r6_rows));
   CollectingSink sink;
-  const AutoJoinReport report = JoinAuto(rels, sink.AsEmitFn());
+  const auto report = TryJoinAuto(rels, sink.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels));
-  EXPECT_EQ(report.algorithm, "AcyclicJoin");
-  EXPECT_EQ(report.reason, "L6 with a balanced split (Theorem 6)");
+  EXPECT_EQ(report->algorithm, "AcyclicJoin");
+  EXPECT_EQ(report->reason, "L6 with a balanced split (Theorem 6)");
 }
 
 TEST(JoinAutoTest, GeneralAcyclicFallsBackToAlgorithm2) {
@@ -115,7 +118,7 @@ TEST(JoinAutoTest, RandomLineSweep) {
         &dev, query::JoinQuery::Line(n), std::vector<TupleCount>(n, 8),
         opts);
     CollectingSink sink;
-    JoinAuto(rels, sink.AsEmitFn());
+    ASSERT_TRUE(TryJoinAuto(rels, sink.AsEmitFn()).ok());
     EXPECT_EQ(test::Sorted(std::move(sink.results())), ReferenceJoin(rels))
         << "n=" << n;
   }

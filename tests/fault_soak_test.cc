@@ -36,7 +36,6 @@ TEST(FaultSoak, SeededRunsEndBitIdenticalOrTypedError) {
 
   std::uint64_t completed = 0;
   std::uint64_t typed_errors = 0;
-  std::uint64_t resumed = 0;
   for (std::uint64_t seed = base; seed < base + runs; ++seed) {
     const SoakPlan plan = PlanFromSeed(seed);
     const SoakOutcome baseline = RunPlan(plan, /*inject=*/false);
@@ -49,7 +48,6 @@ TEST(FaultSoak, SeededRunsEndBitIdenticalOrTypedError) {
     const SoakOutcome faulted = RunPlan(plan, /*inject=*/true);
     if (faulted.completed) {
       ++completed;
-      if (faulted.resumed_sort) ++resumed;
       EXPECT_EQ(faulted.rows, baseline.rows)
           << "row count diverged; replay: " << ReplayLine(plan, faulted);
       const bool order_ok = faulted.hash == baseline.hash;
@@ -73,9 +71,9 @@ TEST(FaultSoak, SeededRunsEndBitIdenticalOrTypedError) {
     }
   }
   std::printf("[soak] %llu runs: %llu completed bit-identical, %llu clean "
-              "typed errors, %llu manifest resumes\n",
+              "typed errors\n",
               (unsigned long long)runs, (unsigned long long)completed,
-              (unsigned long long)typed_errors, (unsigned long long)resumed);
+              (unsigned long long)typed_errors);
   // The seed-derived schedule mix must exercise both contract arms, or
   // the soak is vacuous.
   EXPECT_GT(completed, 0u);

@@ -303,7 +303,7 @@ TelemetryRun RunLine3WithTelemetry(obs::Telemetry* telemetry, TupleCount n,
   core::CountingSink sink;
   {
     trace::Span join(&dev, "join");
-    core::JoinAuto(rels, sink.AsEmitFn());
+    EXPECT_TRUE(core::TryJoinAuto(rels, sink.AsEmitFn()).ok());
   }
   TelemetryRun out;
   out.results = sink.count();
@@ -354,7 +354,7 @@ TEST(Telemetry, StarJoinWalksItsPlannedPhases) {
   core::CountingSink sink;
   {
     trace::Span join(&dev, "join");
-    core::JoinAuto(rels, sink.AsEmitFn());
+    EXPECT_TRUE(core::TryJoinAuto(rels, sink.AsEmitFn()).ok());
   }
   telemetry.MarkComplete();
   EXPECT_EQ(sink.count(), 64u * 64u * 64u);

@@ -1,10 +1,11 @@
 // Tests for the whole-query recovery layer: the chunk guard's
 // EmitJournal, the sharded barrier's RowBuffer, QueryManifest
-// persistence, resumable joins (serial and sharded, including
-// kill-and-resume soaking and the order key a watermark counts in),
-// adaptive retry mode derivation, saturating FaultStats deltas, backoff
-// saturation, recovery metrics export, and graceful degradation of every
-// operator family under an adversarial budget shrink to the 4B floor.
+// persistence, resumable joins (serial, and sharded through the query
+// runner; including kill-and-resume soaking and the order key a
+// watermark counts in), adaptive retry mode derivation, saturating
+// FaultStats deltas, backoff saturation, recovery metrics export, and
+// graceful degradation of every operator family under an adversarial
+// budget shrink to the 4B floor.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -105,7 +106,7 @@ TEST(EmitJournalTest, JournaledEmitDeliversEachRowOnce) {
 }
 
 // ---------------------------------------------------------------------
-// QueryManifest: fingerprint, phases, shards, persistence
+// QueryManifest: fingerprint and persistence
 // ---------------------------------------------------------------------
 
 TEST(QueryManifestTest, BindStampsThenVerifiesTheFingerprint) {
@@ -124,6 +125,15 @@ TEST(QueryManifestTest, BindStampsThenVerifiesTheFingerprint) {
   EXPECT_EQ(m.Bind(rels, 4).code(), StatusCode::kInvalidInput);
 }
 
+int LineCount(const std::string& path) {
+  std::ifstream in(path);
+  int lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+// The manifest's four values round-trip through a six-line file, at any
+// shard count and output size.
 TEST(QueryManifestTest, PhasesAndShardJournalsRoundTripThroughDisk) {
   extmem::Device dev(256, 16);
   const auto rels = workload::L3WorstCase(&dev, 4, 1, 4);
@@ -133,30 +143,26 @@ TEST(QueryManifestTest, PhasesAndShardJournalsRoundTripThroughDisk) {
   ASSERT_TRUE(m.BindOrder(dev).ok());
   EXPECT_TRUE(m.Deliver(0));
   EXPECT_TRUE(m.Deliver(1));
-  m.MarkPhase("join");
-  m.Shard(0).journal().Append(Row{1, 0, 0, 2});
-  m.Shard(0).MarkPhase("join");
-  m.Shard(1).journal().Append(Row{3, 0, 0, 4});
-  m.Shard(1).journal().Append(Row{5, 0, 0, 6});
-
+  const std::string open_path = testing::TempDir() + "/recover_open.manifest";
+  ASSERT_TRUE(m.WriteTo(open_path).ok());
+  m.MarkComplete();
   const std::string path = testing::TempDir() + "/recover_roundtrip.manifest";
   ASSERT_TRUE(m.WriteTo(path).ok());
+  EXPECT_EQ(LineCount(path), 6);
 
   QueryManifest loaded;
   ASSERT_TRUE(loaded.ReadFrom(path).ok());
   EXPECT_EQ(loaded.fingerprint(), m.fingerprint());
   EXPECT_TRUE(loaded.Bind(rels, 2).ok());  // fingerprint still verifies
   EXPECT_EQ(loaded.order_key(), recover::OrderKeyOf(dev));
-  EXPECT_TRUE(loaded.PhaseCompleted("join"));
   EXPECT_EQ(loaded.watermark(), 2u);
-  EXPECT_EQ(loaded.journal().rows(), 0u);  // the query level holds none
-  ASSERT_EQ(loaded.shard_count(), 2u);
-  EXPECT_TRUE(loaded.Shard(0).PhaseCompleted("join"));
-  EXPECT_FALSE(loaded.Shard(1).PhaseCompleted("join"));
-  EXPECT_EQ(loaded.Shard(0).journal().data(), m.Shard(0).journal().data());
-  EXPECT_EQ(loaded.Shard(1).journal().rows(), 2u);
-  EXPECT_EQ(loaded.Shard(1).journal().width(), 4u);
-  EXPECT_EQ(loaded.Shard(1).journal().data(), m.Shard(1).journal().data());
+  EXPECT_TRUE(loaded.complete());
+  EXPECT_EQ(loaded.journal().rows(), 0u);
+
+  QueryManifest open;
+  ASSERT_TRUE(open.ReadFrom(open_path).ok());
+  EXPECT_EQ(open.watermark(), 2u);
+  EXPECT_FALSE(open.complete());
 }
 
 TEST(QueryManifestTest, ReadErrorsAreTypedNotFatal) {
@@ -176,6 +182,16 @@ TEST(QueryManifestTest, ReadErrorsAreTypedNotFatal) {
                        "journal 2 1\n1 2\nshards 0\nend\n";
   QueryManifest old;
   EXPECT_EQ(old.ReadFrom(v1).code(), StatusCode::kInvalidInput);
+
+  // A v2 manifest held each shard's rows; it reads as malformed too.
+  const std::string v2 = testing::TempDir() + "/recover_v2.manifest";
+  std::ofstream(v2) << "emjoin-manifest v2\nfingerprint 7\norder 3\n"
+                       "watermark 1\nphases 1\nphase 1 join\nrows 0 0\n"
+                       "shards 1\nshard 0\nfingerprint 0\norder 0\n"
+                       "watermark 0\nphases 1\nphase 1 join\nrows 2 1\n"
+                       "1 2\nend\n";
+  QueryManifest v2_manifest;
+  EXPECT_EQ(v2_manifest.ReadFrom(v2).code(), StatusCode::kInvalidInput);
 }
 
 // ---------------------------------------------------------------------
@@ -194,7 +210,7 @@ TEST(ResumeTest, FreshRunJournalsEveryRowAndMarksThePhase) {
   EXPECT_EQ(r->watermark_rows, 0u);
   EXPECT_EQ(r->emitted_rows, 30u);  // n1 * n3
   EXPECT_EQ(sink.count(), 30u);
-  EXPECT_TRUE(m.PhaseCompleted("join"));
+  EXPECT_TRUE(m.complete());
   EXPECT_EQ(m.watermark(), 30u);
 }
 
@@ -259,7 +275,7 @@ TEST(ResumeTest, KilledRunResumesWithZeroDuplicateEmits) {
   const auto killed = recover::TryResumableJoinAuto(rels, pre.AsEmitFn(), &m);
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kIoError);
-  EXPECT_FALSE(m.PhaseCompleted("join"));
+  EXPECT_FALSE(m.complete());
   EXPECT_EQ(m.watermark(), pre.results().size());
 
   // Resume against the same manifest. The kill switch fires at most
@@ -268,7 +284,7 @@ TEST(ResumeTest, KilledRunResumesWithZeroDuplicateEmits) {
   const auto resumed = recover::TryResumableJoinAuto(rels, post.AsEmitFn(), &m);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->watermark_rows, pre.results().size());
-  EXPECT_TRUE(m.PhaseCompleted("join"));
+  EXPECT_TRUE(m.complete());
 
   // Union = baseline, intersection = empty (zero duplicate emits).
   std::vector<Row> all = pre.results();
@@ -323,45 +339,121 @@ TEST(ResumeTest, WatermarkPastTheOutputIsRefused) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidInput);
   EXPECT_EQ(sink.count(), 0u);
   EXPECT_EQ(m.watermark(), 31u);
-  EXPECT_FALSE(m.PhaseCompleted("join"));
+  EXPECT_FALSE(m.complete());
 }
 
+// A sharded L3 (K = 4, two workers) through the query runner.
+run::RunContext ShardedContext() {
+  run::RunContext ctx;
+  ctx.memory = 1024;
+  ctx.block = 16;
+  ctx.build = [](extmem::Device* dev) {
+    return workload::L3WorstCase(dev, 24, 1, 8);
+  };
+  ctx.shards = 4;
+  ctx.workers = 2;
+  return ctx;
+}
+
+// A sharded manifest is the same four values as a serial one: it holds
+// none of the shards' rows, and once complete a re-run does no join work.
 TEST(ResumeTest, ShardedManifestSkipsCompletedShardsOnResume) {
-  extmem::Device dev(1024, 16);
-  const auto rels = workload::L3WorstCase(&dev, 24, 1, 8);
-
-  // Fresh sharded run, holding each shard's rows in its child manifest.
   QueryManifest m;
-  parallel::ParallelOptions options;
-  options.shards = 4;
-  options.workers = 2;
-  options.manifest = &m;
-  CollectingSink first;
-  const auto r = parallel::TryParallelJoinAuto(rels, first.AsEmitFn(), options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->sharded);
-  EXPECT_EQ(first.results().size(), 192u);  // n1 * n3
-  EXPECT_EQ(m.watermark(), 192u);
-  EXPECT_EQ(m.journal().rows(), 0u);
-  ASSERT_EQ(m.shard_count(), 4u);
-  std::uint64_t held = 0;
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(m.Shard(s).PhaseCompleted("join")) << "shard " << s;
-    held += m.Shard(s).journal().rows();
-  }
-  EXPECT_EQ(held, 192u);  // each row once, in its shard
+  const auto run = [&m](std::uint64_t* join_ios) {
+    run::RunContext ctx = ShardedContext();
+    ctx.manifest = &m;
+    run::Runner runner(std::move(ctx));
+    std::uint64_t loaded = 0;
+    CollectingSink sink;
+    const auto report = runner.Run(sink.AsEmitFn(), [&] {
+      loaded = runner.device().stats().total();
+      return extmem::Status::Ok();
+    });
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    std::uint64_t ios = runner.device().stats().total() - loaded;
+    if (report.ok()) {
+      for (const parallel::ShardReport& sr : report->parallel.per_shard) {
+        ios += sr.io.total();
+      }
+    }
+    *join_ios = ios;
+    return sink.results();
+  };
 
-  // Re-running with the completed manifest re-derives nothing: every
-  // shard skips, and the watermark skips the whole barrier.
-  CollectingSink again;
-  const auto rr =
-      parallel::TryParallelJoinAuto(rels, again.AsEmitFn(), options);
-  ASSERT_TRUE(rr.ok()) << rr.status().ToString();
-  EXPECT_EQ(again.results().size(), 0u);
+  std::uint64_t first_ios = 0;
+  EXPECT_EQ(run(&first_ios).size(), 192u);  // n1 * n3
+  EXPECT_GT(first_ios, 0u);
   EXPECT_EQ(m.watermark(), 192u);
-  for (const parallel::ShardReport& sr : rr->per_shard) {
-    EXPECT_EQ(sr.report.algorithm, "resume");
+  EXPECT_TRUE(m.complete());
+  EXPECT_EQ(m.journal().rows(), 0u);
+
+  // Re-running with the completed manifest re-derives nothing: no shard
+  // runs and no row goes out.
+  std::uint64_t again_ios = 0;
+  EXPECT_TRUE(run(&again_ios).empty());
+  EXPECT_EQ(again_ios, 0u);
+  EXPECT_EQ(m.watermark(), 192u);
+}
+
+// A kill that lands inside the shards stops the query before its
+// barrier: no row went out, and the manifest written after the kill is
+// the same six lines as any other. The resume re-runs every shard and
+// delivers the uninterrupted run's row sequence.
+TEST(ResumeTest, ShardedKillInsideTheShardsResumesTheSameSequence) {
+  std::vector<Row> whole;
+  std::uint64_t source_ios = 0;
+  std::uint64_t max_shard_ios = 0;
+  {
+    run::Runner runner(ShardedContext());
+    CollectingSink sink;
+    const auto report = runner.Run(sink.AsEmitFn());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    whole = std::move(sink.results());
+    source_ios = runner.device().stats().total();
+    max_shard_ios = report->parallel.max_shard_ios;
   }
+  ASSERT_EQ(whole.size(), 192u);
+  // Past the source's whole clock, short of the slowest shard's: only a
+  // shard's injector reaches the tick.
+  const std::uint64_t tick = std::max(source_ios + 1, max_shard_ios / 2);
+  ASSERT_LT(tick, max_shard_ios);
+
+  QueryManifest m;
+  run::RunContext killing = ShardedContext();
+  killing.faults = true;
+  killing.fault_config.kill_at_ios = tick;
+  killing.manifest = &m;
+  CollectingSink interrupted;
+  {
+    run::Runner runner(std::move(killing));
+    const auto report = runner.Run(interrupted.AsEmitFn());
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kIoError);
+    EXPECT_NE(report.status().ToString().find("(killed;"), std::string::npos)
+        << report.status().ToString();
+    EXPECT_FALSE(runner.injector()->killed());  // the source never fired
+  }
+  EXPECT_TRUE(interrupted.results().empty());
+  EXPECT_FALSE(m.complete());
+  EXPECT_EQ(m.watermark(), 0u);
+  const std::string path = testing::TempDir() + "/recover_sharded.manifest";
+  ASSERT_TRUE(m.WriteTo(path).ok());
+  EXPECT_EQ(LineCount(path), 6);
+
+  QueryManifest loaded;
+  ASSERT_TRUE(loaded.ReadFrom(path).ok());
+  run::RunContext resume = ShardedContext();
+  resume.manifest = &loaded;
+  run::Runner runner(std::move(resume));
+  CollectingSink resumed;
+  const auto report = runner.Run(resumed.AsEmitFn());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->parallel.sharded);
+  std::vector<Row> both = interrupted.results();
+  both.insert(both.end(), resumed.results().begin(), resumed.results().end());
+  EXPECT_EQ(both, whole);
+  EXPECT_TRUE(loaded.complete());
+  EXPECT_EQ(loaded.watermark(), whole.size());
 }
 
 // ---------------------------------------------------------------------
@@ -485,9 +577,9 @@ TEST(ResumeOrder, KillInsideASortMergePassStopsTheQuery) {
       << killed.status.ToString();
   EXPECT_NE(killed.status.ToString().find("(killed;"), std::string::npos)
       << killed.status.ToString();
-  // Nothing runs past the kill but the trailing block that an unwinding
-  // FileWriter flushes.
-  EXPECT_LE(killed.ios, 1051u);
+  // Nothing runs past the kill: an unwinding FileWriter abandons its
+  // trailing block uncharged.
+  EXPECT_EQ(killed.ios, 1050u);
 
   const Attempt resumed = RunAttempt(ShrinkContext({}), &m);
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();

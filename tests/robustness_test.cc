@@ -1,8 +1,7 @@
 // Tests for the fault-injection and recovery layer: the typed error
 // model, the seeded injector's determinism, recovery-tag accounting,
 // memory-budget enforcement through the core operators, and the
-// sorter's graceful degradation (budget shrink => extra merge passes)
-// and manifest-based resume.
+// sorter's graceful degradation (budget shrink => extra merge passes).
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -381,7 +380,7 @@ TEST(OperatorBudgetTest, NonAcyclicQueryIsInvalidInput) {
 }
 
 // ---------------------------------------------------------------------
-// Sorter degradation and resume
+// Sorter degradation
 // ---------------------------------------------------------------------
 
 // A mid-run budget shrink (M halved, then halved again to the 4B floor)
@@ -463,62 +462,6 @@ TEST(SorterDegradation, ShrinkAtEveryPollStillSortsAtTheFloor) {
   for (TupleCount i = 0; i < expected->size(); ++i) {
     ASSERT_EQ(0, std::memcmp((*sorted)->RawTuple(i), expected->RawTuple(i),
                              expected->width() * sizeof(Value)));
-  }
-}
-
-// An interrupted multi-pass sort resumes from its manifest: completed
-// runs are not redone (run formation is skipped entirely), and the
-// resumed sort's output is bit-identical to an uninterrupted one.
-TEST(SorterResume, ManifestResumesFromCompletedRuns) {
-  const std::vector<storage::Tuple> rows = XorshiftRows(20000);
-  const std::uint32_t key[] = {0};
-
-  extmem::Device base_dev(1024, 64);
-  const storage::Relation base_rel = storage::Relation::FromTuples(
-      &base_dev, storage::Schema({0, 1}), rows);
-  const extmem::FilePtr expected = extmem::ExternalSort(base_rel.range(), key);
-
-  extmem::Device dev(1024, 64);
-  const storage::Relation rel =
-      storage::Relation::FromTuples(&dev, storage::Schema({0, 1}), rows);
-
-  // Capacity chosen to survive run formation (313 writes) and die 100
-  // blocks into the first merge pass. Deterministic: no PRNG involved.
-  FaultConfig config;
-  config.device_capacity_blocks = dev.stats().block_writes + 313 + 100;
-  FaultInjector injector(config);
-  dev.set_fault_injector(&injector);
-
-  extmem::SortManifest manifest;
-  const auto failed = extmem::TryExternalSort(rel.range(), key, &manifest);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kDeviceFull);
-  ASSERT_TRUE(manifest.valid);
-  EXPECT_FALSE(manifest.runs.empty());
-
-  // "Replace the device": drop the capacity limit, then resume.
-  dev.set_fault_injector(nullptr);
-  trace::Tracer tracer;
-  dev.set_tracer(&tracer);
-  const extmem::IoStats before = dev.stats();
-  const auto resumed = extmem::TryExternalSort(rel.range(), key, &manifest);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_FALSE(manifest.valid);  // consumed
-
-  const auto resumes = tracer.totals().find("sort_resumes");
-  ASSERT_NE(resumes, tracer.totals().end());
-  EXPECT_EQ(resumes->second, 1u);
-
-  // The resume skipped run formation: strictly fewer reads than the
-  // 939 a from-scratch sort of this input costs.
-  const extmem::IoStats delta = dev.stats() - before;
-  EXPECT_LT(delta.block_reads, 939u);
-
-  ASSERT_EQ((*resumed)->size(), expected->size());
-  for (TupleCount i = 0; i < expected->size(); ++i) {
-    ASSERT_EQ(0, std::memcmp((*resumed)->RawTuple(i), expected->RawTuple(i),
-                             expected->width() * sizeof(Value)))
-        << "tuple " << i;
   }
 }
 

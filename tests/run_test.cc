@@ -64,7 +64,7 @@ TEST(RunnerTest, CompletedManifestReplaysIntoAFreshSink) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(fresh.count(), 30u);
   EXPECT_EQ(manifest.watermark(), 30u);
-  EXPECT_TRUE(manifest.PhaseCompleted("join"));
+  EXPECT_TRUE(manifest.complete());
   EXPECT_EQ(runner.device().stats().total(), plain_ios);
 }
 

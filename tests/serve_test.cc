@@ -677,40 +677,10 @@ TEST(ServeResume, ShardedKillClassifiesAsKilledAndResumes) {
   server.Stop();
 }
 
-// A completed session keeps its row count, not its rows: the rows the
-// manifest's shards hold for the barrier are released once the attempt
-// succeeds, while a failed attempt keeps what its resume needs.
-TEST(ServeSession, CompletedSessionKeepsItsRowCountNotItsRows) {
-  serve::QuerySpec spec;
-  spec.id = "done";
-  serve::QuerySession session(std::move(spec), 16);
-  ASSERT_TRUE(session.manifest().Deliver(0));
-  ASSERT_TRUE(session.manifest().Deliver(1));
-  session.manifest().Shard(0).journal().Append(std::vector<Value>{1, 2});
-  session.manifest().Shard(0).MarkPhase("join");
-  session.manifest().MarkPhase("join");
-  const metrics::Registry attempt;
-
-  session.AbsorbAttempt(attempt, {}, {},
-                        extmem::Status(extmem::StatusCode::kIoError, "x"));
-  EXPECT_EQ(session.manifest().watermark(), 2u);
-  EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 1u);
-  EXPECT_EQ(session.Snapshot().rows, 2u);
-
-  session.AbsorbAttempt(attempt, {}, {}, extmem::Status::Ok());
-  EXPECT_EQ(session.manifest().watermark(), 2u);
-  EXPECT_EQ(session.manifest().Shard(0).journal().rows(), 0u);
-  EXPECT_TRUE(session.manifest().Shard(0).journal().data().empty());
-  // Without its rows the shard would have to re-run.
-  EXPECT_FALSE(session.manifest().Shard(0).PhaseCompleted("join"));
-  EXPECT_TRUE(session.manifest().PhaseCompleted("join"));
-  EXPECT_EQ(session.Snapshot().rows, 2u);
-}
-
 // With ServerOptions::manifest_dir, a completed query's manifest is on
-// disk with its row count and no rows, and a restarted daemon
-// re-submitted the same id delivers nothing twice: the output file stays
-// byte-identical.
+// disk as six lines, its row count and no rows, at any shard count; and
+// a restarted daemon re-submitted the same id delivers nothing twice:
+// the output file stays byte-identical.
 TEST(ServeResume, PersistedManifestKeepsEveryRowAcrossARestart) {
   WriteBipartite("serve_md_r1.csv", "serve_md_r2.csv", 24);
   const std::string dir = testing::TempDir() + "/serve_manifest_dir";
@@ -718,37 +688,51 @@ TEST(ServeResume, PersistedManifestKeepsEveryRowAcrossARestart) {
   std::filesystem::create_directories(dir);
   serve::ServerOptions options;
   options.manifest_dir = dir;
-  const std::string spec =
-      "id=md\nmemory=512\nblock=8\n"
-      "rel=a,b=serve_md_r1.csv\nrel=b,c=serve_md_r2.csv\n"
-      "output=serve_md.out\n";
-  const auto run_once = [&](const std::string& expect_resumed) {
-    serve::Server server(options);
-    ASSERT_TRUE(server.Start().ok());
-    const std::string accepted =
-        BodyOf(HttpPost(server.port(), "/queries", spec));
-    EXPECT_NE(accepted.find("\"resumed\": " + expect_resumed),
-              std::string::npos)
-        << accepted;
-    ASSERT_TRUE(WaitForState(server.port(), "md", "completed"));
-    server.Stop();
-  };
-
-  run_once("false");
-  const std::vector<std::string> expected =
+  std::vector<std::string> expected =
       ReferenceRows({{"a,b", "serve_md_r1.csv"}, {"b,c", "serve_md_r2.csv"}},
                     512, 8, nullptr);
-  EXPECT_EQ(ReadLines("serve_md.out"), expected);
+  for (const std::string shards : {"1", "4"}) {
+    const std::string id = "md" + shards;
+    const std::string output = "serve_" + id + ".out";
+    const std::string spec =
+        "id=" + id + "\nmemory=512\nblock=8\nshards=" + shards +
+        "\nworkers=2\nrel=a,b=serve_md_r1.csv\nrel=b,c=serve_md_r2.csv\n"
+        "output=" + output + "\n";
+    const auto run_once = [&](const std::string& expect_resumed) {
+      serve::Server server(options);
+      ASSERT_TRUE(server.Start().ok());
+      const std::string accepted =
+          BodyOf(HttpPost(server.port(), "/queries", spec));
+      EXPECT_NE(accepted.find("\"resumed\": " + expect_resumed),
+                std::string::npos)
+          << accepted;
+      ASSERT_TRUE(WaitForState(server.port(), id, "completed"));
+      server.Stop();
+    };
 
-  recover::QueryManifest persisted;
-  ASSERT_TRUE(persisted.ReadFrom(dir + "/md.manifest").ok());
-  EXPECT_TRUE(persisted.PhaseCompleted("join"));
-  EXPECT_EQ(persisted.watermark(), expected.size());
-  EXPECT_EQ(persisted.journal().rows(), 0u);
+    run_once("false");
+    std::vector<std::string> got = ReadLines(output);
+    if (shards == "1") {
+      EXPECT_EQ(got, expected);
+    } else {
+      // The sharded run delivers the same set in its own order.
+      std::sort(got.begin(), got.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(got, expected);
+    }
 
-  const std::string before = ReadFile("serve_md.out");
-  run_once("true");  // a fresh daemon on the same manifest directory
-  EXPECT_EQ(ReadFile("serve_md.out"), before);
+    const std::string manifest = dir + "/" + id + ".manifest";
+    EXPECT_EQ(ReadLines(manifest).size(), 6u) << "shards=" << shards;
+    recover::QueryManifest persisted;
+    ASSERT_TRUE(persisted.ReadFrom(manifest).ok());
+    EXPECT_TRUE(persisted.complete());
+    EXPECT_EQ(persisted.watermark(), expected.size());
+    EXPECT_EQ(persisted.journal().rows(), 0u);
+
+    const std::string before = ReadFile(output);
+    run_once("true");  // a fresh daemon on the same manifest directory
+    EXPECT_EQ(ReadFile(output), before) << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -280,7 +280,7 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
     }
     std::printf("\n");
     if (manifest_loaded) {
-      std::printf("manifest:  loaded %s (%llu rows journaled)\n",
+      std::printf("manifest:  loaded %s (%llu rows delivered)\n",
                   flags.resume_path.c_str(),
                   (unsigned long long)watermark_rows);
     }
@@ -343,7 +343,7 @@ int CmdJoin(const CommonFlags& flags, obs::Observers* observers) {
       if (report.ok()) return Fail(s);
       std::fprintf(stderr, "emjoin_cli: %s\n", s.ToString().c_str());
     } else {
-      std::printf("manifest:  wrote %s (%llu rows journaled)\n",
+      std::printf("manifest:  wrote %s (%llu rows delivered)\n",
                   flags.resume_path.c_str(),
                   (unsigned long long)manifest.watermark());
     }

@@ -839,7 +839,7 @@ void CheckLockDiscipline(const FileModel& m, std::vector<Finding>* out) {
 //   rank 10  storage     relations/runs on top of the substrate
 //   rank 20  core, query, counting, gens   operators and plan structure
 //   rank 30  trace, metrics                derived accounting
-//   rank 40  recover     manifests/resume (consumed by parallel)
+//   rank 40  recover     manifests/resume (consumed by run)
 //   rank 50  parallel    sharded execution
 //   rank 60  obs         live observability plane
 //   rank 65  run         the one query runner (CLI, daemon, soak)
