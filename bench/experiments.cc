@@ -84,6 +84,25 @@ int Extmem(Bench& bench) {
       return extmem::ExternalSort(rel.range(), key)->size();
     });
   }
+  {
+    // perfbench's geometry, M = 4096 and B = 64: fan-in 64, so 2^18
+    // tuples form 64 runs that one pass merges. sort_ordered sorts the
+    // same tuples already in sort order.
+    const TupleCount n = TupleCount{1} << 18;
+    std::vector<storage::Tuple> rows = RandomRows(n);
+    const std::uint32_t key[1] = {0};
+    extmem::Device dev(4096, 64);
+    const Relation rel = Rel(&dev, {0, 1}, rows);
+    bench.Time(&dev, "sort", n, reps, [&]() -> std::uint64_t {
+      return extmem::ExternalSort(rel.range(), key)->size();
+    });
+    std::sort(rows.begin(), rows.end());
+    extmem::Device ordered_dev(4096, 64);
+    const Relation ordered = Rel(&ordered_dev, {0, 1}, rows);
+    bench.Time(&ordered_dev, "sort_ordered", n, reps, [&]() -> std::uint64_t {
+      return extmem::ExternalSort(ordered.range(), key)->size();
+    });
+  }
   for (TupleCount n : {TupleCount{1} << 15, TupleCount{1} << 18}) {
     extmem::Device dev(1024, 64);
     const Relation rel = workload::ManyToOne(&dev, 0, 1, n, n / 4);

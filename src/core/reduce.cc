@@ -64,20 +64,23 @@ Relation SemiJoinValues(const Relation& rel, storage::AttrId a,
 
   if (!values.empty()) {
     // Narrow to the value interval, then scan and filter by membership.
+    // Both sides are sorted on `a`, so one cursor walks `values` forward
+    // beside the scan.
     const Relation lo = rel.EqualRange(a, values.front());
     const Relation hi = rel.EqualRange(a, values.back());
     const TupleCount begin = lo.range().begin - rel.range().begin;
     const TupleCount end = hi.range().end - rel.range().begin;
     const Relation span_rel = rel.Slice(begin, end);
     const std::uint32_t w = rel.schema().arity();
+    const Value* v = values.data();
+    const Value* const v_end = v + values.size();
     extmem::FileReader reader(span_rel.range());
     while (!reader.Done()) {
       const std::span<const Value> block = reader.NextBlock();
       for (const Value* t = block.data(); t != block.data() + block.size();
            t += w) {
-        if (std::binary_search(values.begin(), values.end(), t[col])) {
-          writer.Append({t, w});
-        }
+        while (v != v_end && *v < t[col]) ++v;
+        if (v != v_end && *v == t[col]) writer.Append({t, w});
       }
     }
   }

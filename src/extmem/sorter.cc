@@ -1,8 +1,10 @@
 #include "extmem/sorter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 #include "extmem/fault_injector.h"
 #include "metrics/registry.h"
@@ -23,6 +25,73 @@ int CompareTuples(const Value* a, const Value* b, std::uint32_t width,
 
 namespace {
 
+// Calls `f` with std::integral_constant<std::uint32_t, W>, W = w for the
+// common narrow widths and W = 0 (generic) otherwise, so the per-tuple
+// copy loops of the width-templated kernels below get a compile-time
+// trip count.
+template <typename F>
+decltype(auto) DispatchWidth(std::uint32_t w, F&& f) {
+  switch (w) {
+    case 1:
+      return f(std::integral_constant<std::uint32_t, 1>{});
+    case 2:
+      return f(std::integral_constant<std::uint32_t, 2>{});
+    case 3:
+      return f(std::integral_constant<std::uint32_t, 3>{});
+    case 4:
+      return f(std::integral_constant<std::uint32_t, 4>{});
+    default:
+      return f(std::integral_constant<std::uint32_t, 0>{});
+  }
+}
+
+__extension__ using U128 = unsigned __int128;
+
+// The CompareTuples order, read off its first two distinct comparison
+// columns (key columns first, then the rest). The first difference along
+// that sequence decides a comparison, so Key() packs (col1, col2) into
+// one 128-bit number whose comparison is the tuples' comparison on those
+// two columns. For w <= 2 that decides it completely; wider tuples fall
+// back to CompareTuples only when both columns tie.
+class TupleOrder {
+ public:
+  TupleOrder(std::uint32_t w, std::span<const std::uint32_t> key_cols)
+      : w_(w), key_cols_(key_cols) {
+    std::vector<std::uint32_t> order;
+    const auto add = [&order](std::uint32_t c) {
+      if (std::find(order.begin(), order.end(), c) == order.end()) {
+        order.push_back(c);
+      }
+    };
+    for (std::uint32_t c : key_cols) add(c);
+    for (std::uint32_t c = 0; c < w; ++c) add(c);
+    col1_ = order[0];
+    col2_ = order.size() > 1 ? order[1] : col1_;
+    two_cols_decide_ = order.size() <= 2;
+  }
+
+  bool two_cols_decide() const { return two_cols_decide_; }
+
+  U128 Key(const Value* t) const {
+    return (static_cast<U128>(t[col1_]) << 64) | t[col2_];
+  }
+
+  // True iff `a` strictly precedes `b`.
+  bool Less(const Value* a, const Value* b) const {
+    const U128 ka = Key(a);
+    const U128 kb = Key(b);
+    if (two_cols_decide_ || ka != kb) return ka < kb;
+    return CompareTuples(a, b, w_, key_cols_) < 0;
+  }
+
+ private:
+  std::uint32_t w_;
+  std::span<const std::uint32_t> key_cols_;
+  std::uint32_t col1_ = 0;
+  std::uint32_t col2_ = 0;
+  bool two_cols_decide_ = false;
+};
+
 // ---------------------------------------------------------------------
 // In-place tuple sorting. Tuples are sorted by physically reordering the
 // w-value records inside the run buffer (no index indirection, so the
@@ -35,7 +104,7 @@ namespace {
 class TupleSorter {
  public:
   TupleSorter(std::uint32_t w, std::span<const std::uint32_t> key_cols)
-      : w_(w), key_cols_(key_cols), pivot_(w), tmp_(w) {}
+      : w_(w), order_(w, key_cols), pivot_(w), tmp_(w) {}
 
   void Sort(Value* data, TupleCount n) {
     std::uint32_t depth = 2;
@@ -44,10 +113,6 @@ class TupleSorter {
   }
 
  private:
-  int Cmp(const Value* a, const Value* b) const {
-    return CompareTuples(a, b, w_, key_cols_);
-  }
-
   void Swap(Value* a, Value* b) { std::swap_ranges(a, a + w_, b); }
 
   // Binary-insertion-style sort for small partitions: one memmove shifts
@@ -58,7 +123,7 @@ class TupleSorter {
       TupleCount lo = 0, hi = i;
       while (lo < hi) {
         const TupleCount mid = (lo + hi) / 2;
-        if (Cmp(data + mid * w_, cur) <= 0) {
+        if (!order_.Less(cur, data + mid * w_)) {
           lo = mid + 1;
         } else {
           hi = mid;
@@ -80,10 +145,10 @@ class TupleSorter {
         TupleCount child = 2 * root + 1;
         if (child >= end) return;
         if (child + 1 < end &&
-            Cmp(data + child * w_, data + (child + 1) * w_) < 0) {
+            order_.Less(data + child * w_, data + (child + 1) * w_)) {
           ++child;
         }
-        if (Cmp(data + root * w_, data + child * w_) >= 0) return;
+        if (!order_.Less(data + root * w_, data + child * w_)) return;
         Swap(data + root * w_, data + child * w_);
         root = child;
       }
@@ -107,18 +172,18 @@ class TupleSorter {
       Value* lo = data;
       Value* mid = data + (n / 2) * w_;
       Value* hi = data + (n - 1) * w_;
-      if (Cmp(mid, lo) < 0) Swap(mid, lo);
-      if (Cmp(hi, mid) < 0) {
+      if (order_.Less(mid, lo)) Swap(mid, lo);
+      if (order_.Less(hi, mid)) {
         Swap(hi, mid);
-        if (Cmp(mid, lo) < 0) Swap(mid, lo);
+        if (order_.Less(mid, lo)) Swap(mid, lo);
       }
       std::memcpy(pivot_.data(), mid, w_ * sizeof(Value));
 
       // Hoare partition: balanced on runs of equal tuples.
       TupleCount i = 0, j = n - 1;
       while (true) {
-        while (Cmp(data + i * w_, pivot_.data()) < 0) ++i;
-        while (Cmp(data + j * w_, pivot_.data()) > 0) --j;
+        while (order_.Less(data + i * w_, pivot_.data())) ++i;
+        while (order_.Less(pivot_.data(), data + j * w_)) --j;
         if (i >= j) break;
         Swap(data + i * w_, data + j * w_);
         ++i;
@@ -139,91 +204,134 @@ class TupleSorter {
   }
 
   std::uint32_t w_;
-  std::span<const std::uint32_t> key_cols_;
+  TupleOrder order_;
   std::vector<Value> pivot_;
   std::vector<Value> tmp_;
 };
 
-// LSD radix sort on a single 64-bit key column, moving whole tuples
-// between the run buffer and a scratch buffer one byte-digit at a time.
-// Passes whose digit is constant across the run are skipped, so small key
-// domains cost only the histogram pass plus the digits actually used.
-// Radix is stable, so equal-key tuples keep input order; the caller then
-// fixes up equal-key runs with the full-tuple comparator.
-class RadixSorter {
+// Sorts each loaded run into the CompareTuples total order, choosing the
+// method from the run in hand:
+//  - a run already in order (checked up to its first inversion) is kept
+//    as it is. RandomInstance and the CSV loader store every relation in
+//    lexicographic order, so sorting one on its first column costs one
+//    comparison per tuple;
+//  - a run on one key column is LSD radix sorted on that column, over
+//    only the bits that differ across the run, in passes of at most
+//    kRadixBits bits (a 21-bit key domain takes two), unless the passes
+//    would cost more than comparing. A pass whose digit is constant is
+//    skipped. Radix is stable, so the comparison sort then orders each
+//    run of equal keys by the whole tuple;
+//  - anything else goes to the in-place comparison sort.
+class RunSorter {
  public:
-  explicit RadixSorter(std::uint32_t w) : w_(w) {}
+  RunSorter(std::uint32_t w, std::span<const std::uint32_t> key_cols)
+      : w_(w),
+        key_cols_(key_cols),
+        order_(w, key_cols),
+        cmp_sort_(w, key_cols) {}
 
-  void Sort(std::vector<Value>& buffer, std::vector<Value>& scratch,
-            TupleCount n, std::uint32_t key_col) {
-    scratch.resize(buffer.size());
-    std::uint64_t hist[8][256] = {};
-    for (TupleCount i = 0; i < n; ++i) {
-      const Value key = buffer[i * w_ + key_col];
-      for (std::uint32_t d = 0; d < 8; ++d) {
-        ++hist[d][(key >> (8 * d)) & 0xff];
-      }
+  // Sorts the tuples in `run`. The radix passes may leave the sorted
+  // tuples in the sorter's scratch buffer; `run` then swaps storage with
+  // it instead of copying them back.
+  void Sort(std::vector<Value>& run) {
+    const TupleCount n = run.size() / w_;
+    if (InOrder(run.data(), n)) return;
+    if (key_cols_.size() != 1 || !RadixSort(run, n, key_cols_[0])) {
+      cmp_sort_.Sort(run.data(), n);
+      return;
     }
-    Value* src = buffer.data();
-    Value* dst = scratch.data();
-    for (std::uint32_t d = 0; d < 8; ++d) {
-      // Skip digits where every key agrees (one bucket holds all n).
-      bool constant = false;
-      for (std::uint32_t v = 0; v < 256; ++v) {
-        if (hist[d][v] == n) {
-          constant = true;
-          break;
-        }
-        if (hist[d][v] != 0) break;
-      }
-      if (constant) continue;
-      std::uint64_t offset[256];
-      std::uint64_t sum = 0;
-      for (std::uint32_t v = 0; v < 256; ++v) {
-        offset[v] = sum;
-        sum += hist[d][v];
-      }
-      for (TupleCount i = 0; i < n; ++i) {
-        const Value* t = src + i * w_;
-        const std::uint32_t v = (t[key_col] >> (8 * d)) & 0xff;
-        std::memcpy(dst + offset[v]++ * w_, t, w_ * sizeof(Value));
-      }
-      std::swap(src, dst);
-    }
-    if (src != buffer.data()) {
-      std::memcpy(buffer.data(), src, n * w_ * sizeof(Value));
+    if (w_ == 1) return;  // key == whole tuple; nothing left to order
+    const std::uint32_t key_col = key_cols_[0];
+    TupleCount i = 0;
+    while (i < n) {
+      TupleCount j = i + 1;
+      const Value key = run[i * w_ + key_col];
+      while (j < n && run[j * w_ + key_col] == key) ++j;
+      if (j - i > 1) cmp_sort_.Sort(run.data() + i * w_, j - i);
+      i = j;
     }
   }
 
  private:
-  std::uint32_t w_;
-};
+  static constexpr std::uint32_t kRadixBits = 11;
 
-// Sorts the `n`-tuple run in `buffer` into the CompareTuples total order.
-// Single-key inputs take the radix fast path (using `scratch`); the
-// general case and equal-key fix-up use the in-place comparison sort.
-void SortRun(std::vector<Value>& buffer, std::vector<Value>& scratch,
-             TupleCount n, std::uint32_t w,
-             std::span<const std::uint32_t> key_cols) {
-  if (n < 2) return;
-  TupleSorter cmp_sort(w, key_cols);
-  if (key_cols.size() == 1 && n > 48) {
-    const std::uint32_t key_col = key_cols[0];
-    RadixSorter(w).Sort(buffer, scratch, n, key_col);
-    if (w == 1) return;  // key == whole tuple; nothing left to order
-    // Restore the full CompareTuples order inside equal-key runs.
-    TupleCount i = 0;
-    while (i < n) {
-      TupleCount j = i + 1;
-      const Value key = buffer[i * w + key_col];
-      while (j < n && buffer[j * w + key_col] == key) ++j;
-      if (j - i > 1) cmp_sort.Sort(buffer.data() + i * w, j - i);
-      i = j;
+  bool InOrder(const Value* data, TupleCount n) const {
+    for (TupleCount i = 1; i < n; ++i) {
+      if (order_.Less(data + i * w_, data + (i - 1) * w_)) return false;
     }
-    return;
+    return true;
   }
-  cmp_sort.Sort(buffer.data(), n);
-}
+
+  // Orders the run on `key_col`, or returns false without touching it
+  // when the passes would cost more than a comparison sort: each pass
+  // visits every tuple and every bucket, against about n·log2(n)
+  // comparisons, so small runs over wide key ranges are compared.
+  bool RadixSort(std::vector<Value>& run, TupleCount n,
+                 std::uint32_t key_col) {
+    const Value first = run[key_col];
+    Value differ = 0;
+    for (TupleCount i = 0; i < n; ++i) {
+      differ |= run[i * w_ + key_col] ^ first;
+    }
+    if (differ == 0) return true;
+    const std::uint32_t low = std::countr_zero(differ);
+    const std::uint32_t bits = std::bit_width(differ) - low;
+    const std::uint32_t passes = (bits + kRadixBits - 1) / kRadixBits;
+    const std::uint32_t digit = (bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << digit;
+    if (passes * (n + buckets) >= n * std::bit_width(n)) return false;
+    const Value mask = buckets - 1;
+    hist_.assign(passes * buckets, 0);
+    for (TupleCount i = 0; i < n; ++i) {
+      const Value key = run[i * w_ + key_col] >> low;
+      for (std::uint32_t p = 0; p < passes; ++p) {
+        ++hist_[p * buckets + ((key >> (p * digit)) & mask)];
+      }
+    }
+    scratch_.resize(run.size());
+    Value* src = run.data();
+    Value* dst = scratch_.data();
+    for (std::uint32_t p = 0; p < passes; ++p) {
+      TupleCount* offset = hist_.data() + p * buckets;
+      const std::uint32_t shift = low + p * digit;
+      if (offset[(first >> shift) & mask] == n) continue;  // constant digit
+      TupleCount sum = 0;
+      for (std::size_t v = 0; v < buckets; ++v) {
+        const TupleCount count = offset[v];
+        offset[v] = sum;
+        sum += count;
+      }
+      DispatchWidth(w_, [&](auto width) {
+        Scatter<decltype(width)::value>(src, dst, n, key_col, shift, mask,
+                                        offset);
+      });
+      std::swap(src, dst);
+    }
+    if (src != run.data()) run.swap(scratch_);
+    return true;
+  }
+
+  // One stable counting-sort pass: moves each tuple of `src` to the slot
+  // `offset` assigns its digit.
+  template <std::uint32_t W>
+  void Scatter(const Value* src, Value* dst, TupleCount n,
+               std::uint32_t key_col, std::uint32_t shift, Value mask,
+               TupleCount* offset) const {
+    const std::uint32_t w = W != 0 ? W : w_;
+    for (TupleCount i = 0; i < n; ++i) {
+      const Value* t = src + i * w;
+      Value* d = dst + offset[(t[key_col] >> shift) & mask]++ * w;
+      for (std::uint32_t c = 0; c < w; ++c) d[c] = t[c];
+    }
+  }
+
+  std::uint32_t w_;
+  std::span<const std::uint32_t> key_cols_;
+  TupleOrder order_;
+  TupleSorter cmp_sort_;
+  std::vector<Value> scratch_;
+  std::vector<TupleCount> hist_;
+};
 
 // The tuples a sort may plan for: min(M, planning budget). While an
 // injector has shrunk the enforced limit below M, the `held` tuples
@@ -256,8 +364,8 @@ std::vector<FilePtr> FormRuns(const FileRange& input,
 
   std::vector<FilePtr> runs;
   FileReader reader(input);
+  RunSorter sorter(w, key_cols);
   std::vector<Value> buffer;
-  std::vector<Value> scratch;
   buffer.reserve(m * w);
 
   while (!reader.Done()) {
@@ -274,7 +382,7 @@ std::vector<FilePtr> FormRuns(const FileRange& input,
       cap = std::max(SortBudget(dev, held), b);
     }
 
-    SortRun(buffer, scratch, loaded, w, key_cols);
+    sorter.Sort(buffer);
 
     FilePtr run = dev->NewFile(w);
     FileWriter writer(run);
@@ -285,216 +393,26 @@ std::vector<FilePtr> FormRuns(const FileRange& input,
   return runs;
 }
 
-// The first two distinct comparison columns in CompareTuples order (key
-// columns first, then the rest). The first difference along this
-// sequence decides a comparison, so for w <= 2 two cached key values
-// (plus a run-rank tiebreak) decide it completely, with no
-// data-dependent branch — which is what makes the merge engines below
-// fast on data where comparison outcomes are unpredictable.
-struct CompareColumns {
-  std::uint32_t col1 = 0;
-  std::uint32_t col2 = 0;
-  bool two_cols_decide = false;
-};
-
-CompareColumns FindCompareColumns(std::uint32_t w,
-                                  std::span<const std::uint32_t> key_cols) {
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t c : key_cols) {
-    if (std::find(order.begin(), order.end(), c) == order.end()) {
-      order.push_back(c);
-    }
-  }
-  for (std::uint32_t c = 0; c < w; ++c) {
-    if (std::find(order.begin(), order.end(), c) == order.end()) {
-      order.push_back(c);
-    }
-  }
-  CompareColumns cc;
-  cc.col1 = order.empty() ? 0 : order[0];
-  cc.col2 = order.size() > 1 ? order[1] : cc.col1;
-  cc.two_cols_decide = order.size() <= 2;
-  return cc;
-}
-
 // ---------------------------------------------------------------------
-// k-way merge via a tournament loser tree (the engine for fan-ins past
-// the cascade's limit). Each leaf holds a direct [cur, end) pointer
-// pair into its run's current resident block plus the head's first key
-// value, so the hot path — advance the winner, replay its root path —
-// touches no cursor machinery: an advance is a pointer bump, and a
-// replay comparison is one integer compare (full CompareTuples runs
-// only on key ties). Replacing the winner costs exactly ceil(log2 k)
-// comparisons, versus ~2 log2 k for a binary heap's pop+push. Blocks
-// are fetched (and charged) lazily through the per-run FileReader
-// exactly when the previous block is drained, so the charge profile is
-// identical to tuple-at-a-time reads.
-// ---------------------------------------------------------------------
-
-class LoserTree {
- public:
-  // `readers` supply each run's tuples; ties are broken by full-tuple
-  // comparison and then by run index (matching the previous heap-based
-  // merge, so merge output — and with it every downstream I/O count — is
-  // unchanged).
-  LoserTree(std::span<FileReader> readers, std::uint32_t w,
-            std::span<const std::uint32_t> key_cols)
-      : readers_(readers), w_(w), key_cols_(key_cols) {
-    const CompareColumns cc = FindCompareColumns(w, key_cols);
-    col1_ = cc.col1;
-    col2_ = cc.col2;
-    two_cols_decide_ = cc.two_cols_decide;
-
-    k_ = 1;
-    while (k_ < readers.size()) k_ <<= 1;
-    leaves_.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      Leaf& leaf = leaves_[i];
-      MarkExhausted(&leaf, static_cast<std::uint32_t>(i));
-      if (i < readers_.size() && !readers_[i].Done()) {
-        const std::span<const Value> block = readers_[i].NextBlock();
-        SetHead(&leaf, static_cast<std::uint32_t>(i), block);
-      }
-    }
-    tree_.resize(k_);
-    if (k_ > 1) {
-      winner_ = Build(1);
-    } else {
-      winner_ = 0;
-    }
-  }
-
-  bool Done() const { return leaves_[winner_].tuple == nullptr; }
-
-  const Value* Top() const { return leaves_[winner_].tuple; }
-
-  // Advances the winning run and replays its path to the root.
-  void PopAndRefill() {
-    const std::uint32_t i = winner_;
-    Leaf& leaf = leaves_[i];
-    leaf.tuple += w_;
-    if (leaf.tuple == leaf.end) [[unlikely]] {
-      // Block drained: fetch (and charge) the run's next block, or mark
-      // the run exhausted. Runs once per B tuples — off the hot path.
-      if (readers_[i].Done()) {
-        MarkExhausted(&leaf, i);
-      } else {
-        SetHead(&leaf, i, readers_[i].NextBlock());
-      }
-    } else {
-      leaf.key1 = leaf.tuple[col1_];
-      leaf.key2 = leaf.tuple[col2_];
-    }
-    std::uint32_t cur = i;
-    for (std::size_t node = (k_ + i) >> 1; node >= 1; node >>= 1) {
-      const std::uint32_t other = tree_[node];
-      const bool b = Beats(other, cur);
-      tree_[node] = b ? cur : other;
-      cur = b ? other : cur;
-    }
-    winner_ = cur;
-  }
-
- private:
-  struct Leaf {
-    const Value* tuple;  // nullptr = run exhausted (+infinity)
-    const Value* end;    // end of the resident block's span
-    Value key1;          // cached first comparison column of `tuple`
-    Value key2;          // cached second comparison column of `tuple`
-    std::uint64_t rank;  // run index; exhausted runs rank after all live
-  };
-
-  void SetHead(Leaf* leaf, std::uint32_t i, std::span<const Value> block) {
-    leaf->tuple = block.data();
-    leaf->end = block.data() + block.size();
-    leaf->key1 = leaf->tuple[col1_];
-    leaf->key2 = leaf->tuple[col2_];
-    leaf->rank = i;
-  }
-
-  // Exhausted leaves sort after every live one: +infinity cached keys,
-  // and a rank past every live run so a live head with all-max keys
-  // still wins the tie.
-  void MarkExhausted(Leaf* leaf, std::uint32_t i) {
-    leaf->tuple = nullptr;
-    leaf->end = nullptr;
-    leaf->key1 = ~Value{0};
-    leaf->key2 = ~Value{0};
-    leaf->rank = k_ + i;
-  }
-
-  // True iff leaf `a`'s head precedes leaf `b`'s in the merge order.
-  bool Beats(std::uint32_t a, std::uint32_t b) const {
-    const Leaf& la = leaves_[a];
-    const Leaf& lb = leaves_[b];
-    const bool lt1 = la.key1 < lb.key1;
-    const bool eq1 = la.key1 == lb.key1;
-    const bool lt2 = la.key2 < lb.key2;
-    const bool eq2 = la.key2 == lb.key2;
-    if (two_cols_decide_) {
-      // Equal cached keys mean equal tuples; rank settles it. Pure
-      // arithmetic, no data-dependent branch.
-      return lt1 | (eq1 & (lt2 | (eq2 & (la.rank < lb.rank))));
-    }
-    if (eq1 & eq2) [[unlikely]] {
-      return SlowBeats(a, b);
-    }
-    return lt1 | (eq1 & lt2);
-  }
-
-  // Full comparison for >2-column tuples whose cached keys tie.
-  bool SlowBeats(std::uint32_t a, std::uint32_t b) const {
-    const Leaf& la = leaves_[a];
-    const Leaf& lb = leaves_[b];
-    if (la.tuple == nullptr) return false;
-    if (lb.tuple == nullptr) return true;
-    const int c = CompareTuples(la.tuple, lb.tuple, w_, key_cols_);
-    if (c != 0) return c < 0;
-    return a < b;
-  }
-
-  // Plays the subtree under `node`, recording losers; returns the winner.
-  std::uint32_t Build(std::size_t node) {
-    std::uint32_t a, b;
-    if (2 * node >= k_) {
-      a = static_cast<std::uint32_t>(2 * node - k_);
-      b = static_cast<std::uint32_t>(2 * node - k_ + 1);
-    } else {
-      a = Build(2 * node);
-      b = Build(2 * node + 1);
-    }
-    if (Beats(a, b)) {
-      tree_[node] = b;
-      return a;
-    }
-    tree_[node] = a;
-    return b;
-  }
-
-  std::span<FileReader> readers_;
-  std::uint32_t w_;
-  std::span<const std::uint32_t> key_cols_;
-  std::uint32_t col1_ = 0;
-  std::uint32_t col2_ = 0;
-  bool two_cols_decide_ = false;
-  std::size_t k_ = 0;
-  std::vector<Leaf> leaves_;
-  std::vector<std::uint32_t> tree_;  // tree_[node] = losing leaf at node
-  std::uint32_t winner_ = 0;
-};
-
-// ---------------------------------------------------------------------
-// Binary merge cascade, the engine for fan-ins up to kCascadeMaxFanIn.
+// k-way merge through a binary merge cascade, the one engine for every
+// fan-in.
 //
 // Any selection-based k-way merge (heap, loser tree, flat argmin) pays a
 // serial dependency per output tuple: the winner's replacement key must
 // be loaded and compared against the other heads before the next winner
-// is known. Measured on merge workloads, that chain — not data movement
-// — is >90% of wall time. The cascade breaks it by merging pairwise
-// through a balanced binary tree of streaming nodes: each node's refill
-// is a tight two-way merge whose comparison feeds only that node's two
-// cursors, so steps at different nodes (and successive steps whose
-// branchless selects retire out of order) overlap in the pipeline.
+// is known. The cascade breaks that chain by merging pairwise through a
+// balanced binary tree of streaming nodes: each node's refill is a tight
+// two-way merge whose comparison feeds only that node's two cursors, so
+// steps at different nodes, and successive steps of one node, overlap in
+// the pipeline. Measured against a loser tree at fan-ins 4 to 256, the
+// cascade was faster at every one.
+//
+// A step has no data-dependent branch: the 128-bit key comparison yields
+// a flag, and a mask built from it selects the source tuple and advances
+// one cursor. Before stepping, a node checks whether one side's whole
+// resident span precedes the other side's head; if so it copies the span
+// with one memcpy, at one comparison per span, which is what keeps
+// ordered and clustered inputs cheap.
 //
 // Each internal node stages B tuples; leaves expose file blocks
 // zero-copy via FileReader::NextBlock(). The staging therefore totals
@@ -505,30 +423,21 @@ class LoserTree {
 // sequential block writes of the merged output.
 //
 // Order: a node takes from its right child only when the right head is
-// strictly smaller (first difference along the CompareColumns sequence,
-// full CompareTuples on two-column ties of wider tuples). Left-on-ties
-// makes the cascade stable over the leaf order, which is the run order
-// — exactly the CompareTuples-then-run-index order of the other
-// engines, so merge output and every downstream I/O count are
-// unchanged.
+// strictly smaller in the CompareTuples order. Left-on-ties makes the
+// cascade stable over the leaf order, which is the run order, so the
+// output is the (CompareTuples, run index) merge order.
 //
 // The width template parameter (0 = generic) turns the per-tuple copy
 // and stride into compile-time constants for the common narrow widths.
 // ---------------------------------------------------------------------
-
-constexpr std::size_t kCascadeMaxFanIn = 16;
 
 template <std::uint32_t W>
 class CascadeMerge {
  public:
   CascadeMerge(std::span<FileReader> readers, std::uint32_t w,
                std::span<const std::uint32_t> key_cols, TupleCount buf_tuples)
-      : w_(w), key_cols_(key_cols) {
+      : w_(w), order_(w, key_cols) {
     assert(W == 0 || W == w);
-    const CompareColumns cc = FindCompareColumns(w, key_cols);
-    col1_ = cc.col1;
-    col2_ = cc.col2;
-    two_cols_decide_ = cc.two_cols_decide;
     nodes_.reserve(2 * readers.size());
     for (FileReader& r : readers) {
       nodes_.emplace_back();
@@ -596,30 +505,34 @@ class CascadeMerge {
       if (b->cur == b->end && !b->exhausted) Refill(b);
       const bool lv = a->cur != a->end;
       const bool rv = b->cur != b->end;
+      Node* from;
       if (lv & rv) {
-        const std::size_t steps =
-            std::min({static_cast<std::size_t>(oe - o),
-                      static_cast<std::size_t>(a->end - a->cur),
-                      static_cast<std::size_t>(b->end - b->cur)}) /
-            w;
-        if (two_cols_decide_) {
-          o = MergeSteps<true>(steps, a, b, o);
+        if (!order_.Less(b->cur, a->end - w)) {
+          from = a;  // a's whole span precedes b's head (ties go left)
+        } else if (order_.Less(b->end - w, a->cur)) {
+          from = b;  // b's whole span precedes a's head
         } else {
-          o = MergeSteps<false>(steps, a, b, o);
+          const std::size_t steps =
+              std::min({static_cast<std::size_t>(oe - o),
+                        static_cast<std::size_t>(a->end - a->cur),
+                        static_cast<std::size_t>(b->end - b->cur)}) /
+              w;
+          o = order_.two_cols_decide() ? MergeSteps<true>(steps, a, b, o)
+                                       : MergeSteps<false>(steps, a, b, o);
+          continue;
         }
       } else if (lv) {
-        const std::size_t c = std::min<std::size_t>(oe - o, a->end - a->cur);
-        std::memcpy(o, a->cur, c * sizeof(Value));
-        o += c;
-        a->cur += c;
+        from = a;
       } else if (rv) {
-        const std::size_t c = std::min<std::size_t>(oe - o, b->end - b->cur);
-        std::memcpy(o, b->cur, c * sizeof(Value));
-        o += c;
-        b->cur += c;
+        from = b;
       } else {
         break;
       }
+      const std::size_t c =
+          std::min<std::size_t>(oe - o, from->end - from->cur);
+      std::memcpy(o, from->cur, c * sizeof(Value));
+      o += c;
+      from->cur += c;
     }
     n->cur = n->buf.data();
     n->end = o;
@@ -627,145 +540,70 @@ class CascadeMerge {
   }
 
   // The unchecked hot loop: `steps` merge steps that can touch neither a
-  // buffer boundary nor the output end. Branch-free for two-column
-  // orders; wider tuples branch only on the (rare) two-column tie.
+  // buffer boundary nor the output end. No step branches on the data;
+  // wider tuples branch only when both key columns tie.
   template <bool kTwoColsDecide>
   Value* MergeSteps(std::size_t steps, Node* a, Node* b, Value* o) {
     const std::uint32_t w = W != 0 ? W : w_;
-    const Value* L = a->cur;
-    const Value* R = b->cur;
+    const Value* left = a->cur;
+    const Value* right = b->cur;
     while (steps-- > 0) {
-      const Value lk1 = L[col1_], lk2 = L[col2_];
-      const Value rk1 = R[col1_], rk2 = R[col2_];
-      bool take_right;
-      if constexpr (kTwoColsDecide) {
-        take_right = (rk1 < lk1) | ((rk1 == lk1) & (rk2 < lk2));
-      } else {
-        if ((rk1 == lk1) & (rk2 == lk2)) [[unlikely]] {
-          take_right = CompareTuples(R, L, w, key_cols_) < 0;
-        } else {
-          take_right = (rk1 < lk1) | ((rk1 == lk1) & (rk2 < lk2));
-        }
+      const U128 lk = order_.Key(left);
+      const U128 rk = order_.Key(right);
+      bool take_right = rk < lk;
+      if constexpr (!kTwoColsDecide) {
+        if (rk == lk) [[unlikely]] take_right = order_.Less(right, left);
       }
-      const Value* t = take_right ? R : L;
+      // All ones when the right head goes out, else zero.
+      const std::uintptr_t mask = -static_cast<std::uintptr_t>(take_right);
+      const Value* t = reinterpret_cast<const Value*>(
+          (reinterpret_cast<std::uintptr_t>(right) & mask) |
+          (reinterpret_cast<std::uintptr_t>(left) & ~mask));
       for (std::uint32_t c = 0; c < w; ++c) o[c] = t[c];
       o += w;
-      L = take_right ? L : L + w;
-      R = take_right ? R + w : R;
+      right += w & mask;
+      left += w & ~mask;
     }
-    a->cur = L;
-    b->cur = R;
+    a->cur = left;
+    b->cur = right;
     return o;
   }
 
   std::uint32_t w_;
-  std::span<const std::uint32_t> key_cols_;
-  std::uint32_t col1_ = 0;
-  std::uint32_t col2_ = 0;
-  bool two_cols_decide_ = false;
+  TupleOrder order_;
   std::vector<Node> nodes_;
   std::size_t root_ = 0;
 };
 
-// Merges `group` sorted runs into one through a width-specialized
-// cascade. Charges identical I/O to any tuple-at-a-time merge: each run
-// is read sequentially block by block, the output written sequentially.
-template <std::uint32_t W>
-FilePtr MergeCascade(Device* dev, std::span<const FilePtr> group,
-                     std::uint32_t w,
-                     std::span<const std::uint32_t> key_cols) {
-  std::vector<FileReader> readers;
-  readers.reserve(group.size());
-  TupleCount total = 0;
-  for (const FilePtr& f : group) {
-    total += f->size();
-    readers.emplace_back(FileRange(f));
-  }
-
-  // One block per input run plus one output block resident in memory.
-  MemoryReservation res(&dev->gauge(), (group.size() + 1) * dev->B());
-
-  CascadeMerge<W> cascade(readers, w, key_cols, dev->B());
-
-  FilePtr out = dev->NewFile(w);
-  out->Reserve(total);
-  FileWriter writer(out);
-  for (std::span<const Value> s = cascade.Pull(); !s.empty();
-       s = cascade.Pull()) {
-    writer.AppendBlock(s);
-  }
-  writer.Finish();
-  return out;
-}
-
-// Merges `group` sorted runs into one using `Engine` for winner
-// selection. The engines produce identical output (both implement the
-// CompareTuples-then-run-index merge order) and charge identical I/O
-// (each run is read sequentially block by block, the output written
-// sequentially), so engine choice is invisible to the cost model.
-template <typename Engine>
-FilePtr MergeWithEngine(Device* dev, std::span<const FilePtr> group,
-                        std::uint32_t w,
-                        std::span<const std::uint32_t> key_cols) {
-  std::vector<FileReader> readers;
-  readers.reserve(group.size());
-  TupleCount total = 0;
-  for (const FilePtr& f : group) {
-    total += f->size();
-    readers.emplace_back(FileRange(f));
-  }
-
-  // One block per input run plus one output block resident in memory.
-  MemoryReservation res(&dev->gauge(), (group.size() + 1) * dev->B());
-
-  Engine tree(readers, w, key_cols);
-
-  FilePtr out = dev->NewFile(w);
-  out->Reserve(total);
-  FileWriter writer(out);
-  const std::size_t out_cap = static_cast<std::size_t>(dev->B()) * w;
-  std::vector<Value> out_block(out_cap);
-  Value* const out_base = out_block.data();
-  Value* const out_end = out_base + out_cap;
-  Value* out_ptr = out_base;
-  while (!tree.Done()) {
-    const Value* t = tree.Top();
-    for (std::uint32_t c = 0; c < w; ++c) out_ptr[c] = t[c];
-    out_ptr += w;
-    tree.PopAndRefill();
-    if (out_ptr == out_end) {
-      writer.AppendBlock(out_block);
-      out_ptr = out_base;
-    }
-  }
-  writer.AppendBlock({out_base, static_cast<std::size_t>(out_ptr - out_base)});
-  writer.Finish();
-  return out;
-}
-
-// Merges `group` sorted runs into one. Small fan-ins go through the
-// binary cascade (no per-tuple selection dependency); larger fan-ins use
-// the loser tree, whose O(log k) replay scales better than the cascade's
-// log k staging copies once k is large. Both engines implement the same
-// merge order and the same charge profile, so the dispatch is invisible
-// to both output bytes and I/O counts.
+// Merges `group` sorted runs into one. Each run is read sequentially
+// block by block and the output is written sequentially, so the charge
+// is the same for every fan-in, width and key shape.
 FilePtr MergeGroup(Device* dev, std::span<const FilePtr> group,
                    std::uint32_t w, std::span<const std::uint32_t> key_cols) {
-  if (group.size() <= kCascadeMaxFanIn) {
-    switch (w) {
-      case 1:
-        return MergeCascade<1>(dev, group, w, key_cols);
-      case 2:
-        return MergeCascade<2>(dev, group, w, key_cols);
-      case 3:
-        return MergeCascade<3>(dev, group, w, key_cols);
-      case 4:
-        return MergeCascade<4>(dev, group, w, key_cols);
-      default:
-        return MergeCascade<0>(dev, group, w, key_cols);
-    }
+  std::vector<FileReader> readers;
+  readers.reserve(group.size());
+  TupleCount total = 0;
+  for (const FilePtr& f : group) {
+    total += f->size();
+    readers.emplace_back(FileRange(f));
   }
-  return MergeWithEngine<LoserTree>(dev, group, w, key_cols);
+
+  // One block per input run plus one output block resident in memory.
+  MemoryReservation res(&dev->gauge(), (group.size() + 1) * dev->B());
+
+  FilePtr out = dev->NewFile(w);
+  out->Reserve(total);
+  FileWriter writer(out);
+  DispatchWidth(w, [&](auto width) {
+    CascadeMerge<decltype(width)::value> cascade(readers, w, key_cols,
+                                                 dev->B());
+    for (std::span<const Value> s = cascade.Pull(); !s.empty();
+         s = cascade.Pull()) {
+      writer.AppendBlock(s);
+    }
+  });
+  writer.Finish();
+  return out;
 }
 
 // How often one interrupted merge group is re-merged before its fault
@@ -872,6 +710,37 @@ std::uint64_t MergePassesFor(const Device& device, TupleCount n) {
     ++passes;
   }
   return passes;
+}
+
+std::uint64_t SortIosFor(const Device& device, TupleCount n) {
+  if (n == 0) return 0;
+  // Run formation reads the input once and writes runs of
+  // max(M, B) tuples, the last one partial.
+  const TupleCount run = std::max(device.M(), device.B());
+  std::vector<TupleCount> runs;
+  for (TupleCount left = n; left > 0; left -= std::min(left, run)) {
+    runs.push_back(std::min(left, run));
+  }
+  std::uint64_t ios = device.BlocksFor(n);
+  for (const TupleCount r : runs) ios += device.BlocksFor(r);
+  // Each pass reads and writes every group it merges; a lone trailing
+  // run is carried to the next pass unread.
+  const std::size_t fan_in = std::max<TupleCount>(2, device.M() / device.B());
+  while (runs.size() > 1) {
+    std::vector<TupleCount> next;
+    for (std::size_t i = 0; i < runs.size(); i += fan_in) {
+      const std::size_t end = std::min(runs.size(), i + fan_in);
+      TupleCount merged = 0;
+      for (std::size_t j = i; j < end; ++j) {
+        if (end - i > 1) ios += device.BlocksFor(runs[j]);
+        merged += runs[j];
+      }
+      if (end - i > 1) ios += device.BlocksFor(merged);
+      next.push_back(merged);
+    }
+    runs = std::move(next);
+  }
+  return ios;
 }
 
 Result<FilePtr> TryExternalSort(const FileRange& input,

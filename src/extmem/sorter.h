@@ -23,6 +23,13 @@ namespace emjoin::extmem {
 /// O((N/B) log_{M/B}(N/M)) bound whose log the paper suppresses under
 /// the Õ notation.
 ///
+/// Host work: how a run is sorted and how runs are merged in memory is
+/// chosen from the data in hand (a run already in order is kept, a
+/// single-column key is radix sorted over the bits that differ, and one
+/// merge cascade serves every fan-in). None of it changes the output,
+/// which is the CompareTuples total order, or the charge, since every
+/// run and pass is read and written block by block.
+///
 /// Degradation: run size and per-pass fan-in are planned against
 /// Device::PlanningBudget(), so a mid-run shrink of the enforced memory
 /// budget yields smaller runs / smaller fan-in — i.e. extra merge passes
@@ -59,6 +66,15 @@ namespace emjoin::extmem {
 /// `device` (run formation not counted). Exposed for I/O accounting tests.
 [[nodiscard]] std::uint64_t MergePassesFor(const Device& device,
                                            TupleCount n);
+
+/// The I/Os ExternalSort charges, fault-free, to sort `n` tuples that
+/// start on a block boundary on `device`: the input's blocks read once,
+/// every run written, and every merge group's runs read and its output
+/// written, pass by pass. A pass that leaves one run over carries it to
+/// the next pass unread, so this can be less than
+/// 2·⌈n/B⌉·(1 + MergePassesFor). Computed from the pass plan alone; it
+/// charges nothing.
+[[nodiscard]] std::uint64_t SortIosFor(const Device& device, TupleCount n);
 
 }  // namespace emjoin::extmem
 

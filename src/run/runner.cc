@@ -82,18 +82,16 @@ extmem::Result<RunReport> Runner::Join(
     if (ctx_.shards > 1 && !relations_.empty()) {
       // Sharded runs read and write every input block once more to
       // redistribute it. A broadcast relation the plan presorts adds the
-      // source's sort: one such sweep for run formation and one per
-      // merge pass.
+      // source's sort of it.
       const parallel::ShardPlan plan =
           parallel::PlanShards(relations_, ctx_.shards);
       for (std::size_t i = 0; i < relations_.size(); ++i) {
         const storage::Relation& r = relations_[i];
-        std::uint64_t sweeps = 1;
+        std::uint64_t ios = 2 * device_.BlocksFor(r.size());
         if (plan.presort[i].has_value() && !r.IsSortedBy(*plan.presort[i])) {
-          sweeps += 1 + extmem::MergePassesFor(device_, r.size());
+          ios += extmem::SortIosFor(device_, r.size());
         }
-        planned += 2.0L * static_cast<long double>(
-                              sweeps * device_.BlocksFor(r.size()));
+        planned += static_cast<long double>(ios);
       }
     }
     ctx_.telemetry->tracker().SetPlan({{"join", planned}});

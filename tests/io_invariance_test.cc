@@ -1,16 +1,18 @@
 // Regression tests pinning the substrate's I/O counts to golden values.
 //
 // The external-memory substrate is free to optimize wall-clock however it
-// likes (block-batched reads, radix run formation, cascade/loser-tree
-// merges), but the Aggarwal-Vitter charge profile is part of the
-// simulator's contract: every experiment's reported I/O cost must be
+// likes (block-batched reads, radix run formation, a merge cascade), but
+// the Aggarwal-Vitter charge profile is part of the simulator's
+// contract: every experiment's reported I/O cost must be
 // reproducible bit-for-bit across substrate rewrites. These tests freeze
 // three representative workloads' total AND per-tag block counts, captured
 // from the original tuple-at-a-time substrate. If a substrate change moves
 // any number here, it changed the cost model, not just the clock — that is
 // a bug (or needs a deliberate, documented golden update).
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -227,10 +229,9 @@ TEST(IoInvariance, EmitJournalChangesNoCharges) {
   ExpectTag(tags, "sort", 960, 960);
 }
 
-// Fan-in past the cascade limit routes through the loser tree: M=64 B=2
-// gives fan-in M/B=32 > 16. n=4096 forms 64 runs, so the first pass
-// merges 32-wide. The charge profile is engine-independent: 3 sweeps
-// (runs, pass1, pass2) of n/B=2048 blocks each.
+// A wide merge: M=64 B=2 gives fan-in M/B=32. n=4096 forms 64 runs, so
+// the first pass merges 32-wide. The charge profile is 3 sweeps (runs,
+// pass1, pass2) of n/B=2048 blocks each.
 TEST(IoInvariance, LargeFanInMerge) {
   extmem::Device dev(64, 2);
   const std::vector<storage::Tuple> rows = XorshiftRows(4096);
@@ -244,6 +245,80 @@ TEST(IoInvariance, LargeFanInMerge) {
   const auto tags = MergedTags(dev);
   ExpectTag(tags, "sort", 3 * 2048, 3 * 2048);
 }
+
+// Differential sort test: ExternalSort against std::sort by
+// CompareTuples (ExpectSorted) at merge fan-ins 4 to 128 (M = fan-in * B,
+// B = 4), over every tuple width, key shape and input shape below, at
+// sizes 0, 1, B-1, M, M+1 and 18 runs (more than 16, the last one half
+// full). Fan-in 4 merges those 18 runs in three passes and carries a
+// lone run; the wider fan-ins merge all 18 at once. The `sort` tag's
+// charge must equal SortIosFor exactly.
+class SortDifferential : public ::testing::TestWithParam<TupleCount> {};
+
+TEST_P(SortDifferential, MatchesStdSortAndChargesSortIosFor) {
+  constexpr TupleCount kB = 2;
+  const TupleCount m = GetParam() * kB;
+  const std::vector<std::string> shapes = {
+      "random_small", "random_large", "ordered",
+      "key_ordered",  "reversed",     "equal_keys"};
+  for (const std::uint32_t w : {1u, 2u, 3u, 5u}) {
+    std::vector<std::vector<std::uint32_t>> key_sets = {{0}};
+    if (w > 1) key_sets.insert(key_sets.end(), {{w - 1}, {1, 0}});
+    if (w > 2) key_sets.push_back({2, 0});
+    std::vector<storage::AttrId> attrs(w);
+    for (std::uint32_t c = 0; c < w; ++c) attrs[c] = c;
+    for (const std::vector<std::uint32_t>& key : key_sets) {
+      const auto by_key = [&key](const storage::Tuple& a,
+                                 const storage::Tuple& b) {
+        for (const std::uint32_t c : key) {
+          if (a[c] != b[c]) return a[c] < b[c];
+        }
+        return false;
+      };
+      const auto by_tuple = [&key, w](const storage::Tuple& a,
+                                      const storage::Tuple& b) {
+        return extmem::CompareTuples(a.data(), b.data(), w, key) < 0;
+      };
+      for (const std::string& shape : shapes) {
+        for (const TupleCount n : {TupleCount{0}, TupleCount{1}, kB - 1, m,
+                                   m + 1, 17 * m + m / 2}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "w=" << w << " key[0]=" << key[0] << " of "
+                       << key.size() << " shape=" << shape << " n=" << n);
+          std::mt19937_64 rng(n * 131 + w * 17 + key.size() + key[0]);
+          std::vector<storage::Tuple> rows(n, storage::Tuple(w));
+          for (storage::Tuple& t : rows) {
+            for (Value& v : t) v = shape == "random_large" ? rng() : rng() % 8;
+            if (shape == "equal_keys") {
+              for (const std::uint32_t c : key) t[c] = 7;
+            }
+          }
+          if (shape == "ordered" || shape == "reversed") {
+            std::sort(rows.begin(), rows.end(), by_tuple);
+          }
+          if (shape == "reversed") std::reverse(rows.begin(), rows.end());
+          if (shape == "key_ordered") {
+            // Ordered on the key; the tie columns keep a random order.
+            std::stable_sort(rows.begin(), rows.end(), by_key);
+          }
+          extmem::Device dev(m, kB);
+          const storage::Relation rel = storage::Relation::FromTuples(
+              &dev, storage::Schema(attrs), rows);
+          const extmem::FilePtr sorted =
+              extmem::ExternalSort(rel.range(), key);
+          ExpectSorted(sorted, rows, key);
+          const auto tags = MergedTags(dev);
+          const auto it = tags.find("sort");
+          EXPECT_EQ(it == tags.end() ? 0 : it->second.total(),
+                    extmem::SortIosFor(dev, n));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FanIn, SortDifferential,
+                         ::testing::Values(4, 16, 32, 64, 128));
 
 // The fault layer must be invisible when it injects nothing: attaching
 // an injector whose schedule is empty (all probabilities zero, no

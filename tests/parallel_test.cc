@@ -315,26 +315,6 @@ storage::Relation Shuffled(const storage::Relation& rel, std::uint64_t seed) {
   return storage::Relation::FromTuples(rel.device(), rel.schema(), rows);
 }
 
-// One external sort of n tuples on `dev` when every merge pass merges
-// all of its runs: run formation and each pass read and write every
-// block once.
-std::uint64_t OneSortIos(const extmem::Device& dev, TupleCount n) {
-  return 2 * dev.BlocksFor(n) * (1 + extmem::MergePassesFor(dev, n));
-}
-
-// What sorting a copy of `rel` on `a` charges on a fresh device with
-// `memory` tuples of memory. Exact where OneSortIos is not: a pass that
-// leaves one run over carries it to the next pass unread.
-std::uint64_t MeasuredSortIos(const storage::Relation& rel, storage::AttrId a,
-                              TupleCount memory) {
-  extmem::Device dev(memory, rel.device()->B());
-  const storage::Relation copy =
-      storage::Relation::FromTuples(&dev, rel.schema(), test::ReadAll(rel));
-  const extmem::IoStats before = dev.stats();
-  static_cast<void>(copy.SortedBy(a));
-  return (dev.stats() - before).total();
-}
-
 std::uint64_t SortIos(
     const std::map<std::string, extmem::IoStats, std::less<>>& tags) {
   const auto it = tags.find("sort");
@@ -399,9 +379,10 @@ TEST(ParallelJoinTest, BroadcastRelationIsSortedOnceOnTheSource) {
     options.workers = 2;
     const auto result = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(SortIos(dev.per_tag()) - source_sort, OneSortIos(dev, n));
+    EXPECT_EQ(SortIos(dev.per_tag()) - source_sort,
+              extmem::SortIosFor(dev, n));
     const std::uint64_t shard_sort_r3 =
-        MeasuredSortIos(rels[2], 2, plan.shard_memory);
+        extmem::SortIosFor(extmem::Device(plan.shard_memory, dev.B()), n);
     for (std::uint32_t s = 0; s < kShards; ++s) {
       EXPECT_LT(SortIos(result->per_shard[s].tags), shard_sort_r3)
           << "shard " << s;
